@@ -12,7 +12,8 @@ File formats (all UTF-8 JSON except the TSV table output):
 Channels appear in the caller's order everywhere; command output labels
 them 1-based. Symbol indices refer to masses sorted nondecreasing (the
 ``input_index`` field of a codebook maps them back to the input file).
-Exit codes: 0 ok, 2 bad input, 3 corrupt streams, 4 truncated streams.
+Exit codes: 0 ok, 2 bad input (including files that cannot be read or
+written), 3 corrupt streams, 4 truncated streams.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .codec import (
     encode,
 )
 from .core import ChannelProfile, Distribution, entropy, kraft_sum
-from .heuristics import METRICS, pruned_search, suboptimal_build
-from .huffman import build_single_huffman, dummy_count, huffman_merge_sequence
-from .search import SearchResult, enumerate_merge_sequences, optimal_search, replay_sequence
+from .heuristics import METRICS, construct
+from .huffman import build_single_huffman, dummy_count
+from .search import SearchResult, enumerate_merge_sequences
 from .tree import (
     Codebook,
     codebook_from_tree,
@@ -49,7 +50,6 @@ from .tree import (
     tree_to_obj,
     validate_tree,
 )
-from .tree import expected_length as tree_expected_length
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -64,8 +64,6 @@ class CliError(Exception):
 def _read_json(path: Path) -> dict:
     try:
         data = json.loads(path.read_text("utf-8"))
-    except OSError as exc:
-        raise CliError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -93,20 +91,6 @@ def _load_distribution(path: Path) -> tuple[Distribution, ChannelProfile]:
     return dist, profile
 
 
-def _user_sizes(profile: ChannelProfile) -> list[int]:
-    out = [0] * profile.n
-    for canon, user in enumerate(profile.user_order):
-        out[user] = profile.sizes[canon]
-    return out
-
-
-def _canonical_of_user(profile: ChannelProfile) -> list[int]:
-    inv = [0] * profile.n
-    for canon, user in enumerate(profile.user_order):
-        inv[user] = canon
-    return inv
-
-
 def _load_codebook(path: Path, data: dict) -> Codebook:
     channels = data.get("channels")
     words = data.get("words")
@@ -127,16 +111,14 @@ def cmd_analyze(args) -> int:
     dist, profile = _load_distribution(Path(args.distribution))
     h = entropy(dist)
     print(f"masses: {dist.m}")
-    print("channels: " + ",".join(str(q) for q in _user_sizes(profile)))
+    print("channels: " + ",".join(str(q) for q in profile.user_sizes))
     if dist.rescaled:
         print("warning: masses rescaled to sum exactly to 1 (last input mass absorbed the residue)")
     print(f"entropy: {h:.10f} nats")
     print(
         f"optimal expected length bounds: {h:.10f} <= L < {h + math.log(profile.sizes[0]):.10f} nats"
     )
-    inv = _canonical_of_user(profile)
-    for user in range(profile.n):
-        q = profile.sizes[inv[user]]
+    for user, q in enumerate(profile.user_sizes):
         code = build_single_huffman(dist, q)
         real_kraft = sum(Fraction(1, q**l) for l in code.lengths)
         print(
@@ -147,17 +129,16 @@ def cmd_analyze(args) -> int:
 
 
 def _construct(dist: Distribution, profile: ChannelProfile, method: str) -> SearchResult:
-    if method == "optimal":
-        return optimal_search(dist, profile)
-    if method == "suboptimal":
-        return suboptimal_build(dist, profile)
+    """Translate a ``--method`` value into a ``construct`` call."""
+    if method in ("optimal", "suboptimal"):
+        return construct(dist, profile, method)
     if method.startswith("prune="):
         metric = method[len("prune="):]
         if metric not in METRICS:
             raise CliError(f"unknown pruning metric {metric!r}; choose one of {', '.join(METRICS)}")
         if dist.m < 2:
             raise CliError("pruned construction needs at least two masses")
-        return pruned_search(dist, profile, metric)[0]
+        return construct(dist, profile, "prune", metric=metric)
     if method.startswith("single="):
         try:
             user_channel = int(method[len("single="):])
@@ -165,15 +146,7 @@ def _construct(dist: Distribution, profile: ChannelProfile, method: str) -> Sear
             raise CliError(f"method {method!r}: channel must be an integer") from None
         if not 1 <= user_channel <= profile.n:
             raise CliError(f"channel {user_channel} out of range 1..{profile.n}")
-        canon = profile.user_order.index(user_channel - 1)
-        seq = huffman_merge_sequence(dist.m, profile.sizes[canon])
-        root, steps = replay_sequence(dist, profile, seq, classes=(canon,) * len(seq))
-        return SearchResult(
-            tree=root,
-            steps=steps,
-            expected_length=tree_expected_length(root, dist),
-            subproblem_count=0,
-        )
+        return construct(dist, profile, "single", channel=user_channel - 1)
     raise CliError(f"unknown method {method!r}")
 
 
@@ -185,10 +158,10 @@ def cmd_build(args) -> int:
 
     codebook = codebook_from_tree(result.tree, profile)
     report = local_redundancy(result.tree, dist)
-    user_sizes = _user_sizes(profile)
-    inv = _canonical_of_user(profile)
+    user_sizes = profile.user_sizes
     user_root = map_classes(result.tree, profile.user_order)
-    user_words = [[word[inv[u]] for u in range(profile.n)] for word in codebook.words]
+    canon = profile.canonical_index
+    user_words = [[word[c] for c in canon] for word in codebook.words]
 
     _write_json(out_dir / "tree.json", {"channels": user_sizes, "root": tree_to_obj(user_root)})
     _write_json(
@@ -306,7 +279,10 @@ def cmd_decode(args) -> int:
         raise CliError(f'{args.streams}: "streams" must be an array of strings')
     if len(streams) != n:
         raise CliError(f"{args.streams}: expected {n} streams, got {len(streams)}")
-    symbols = decode(root, tuple(streams), count=args.count)
+    try:
+        symbols = decode(root, tuple(streams), count=args.count)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     line = " ".join(str(s) for s in symbols)
     if args.out:
         Path(args.out).write_text(line + "\n", "utf-8")
@@ -365,10 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegenerateCodeError as exc:
+    except (CliError, DegenerateCodeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TruncationError as exc:

@@ -93,6 +93,8 @@ def decode(root: Node, streams, count: int | None = None) -> list[int]:
     leftover digits are an error. Decoding is strictly sequential: no
     lookahead past the current codeword.
     """
+    if count is not None and count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     if isinstance(root, (Leaf, DummyLeaf)):
         raise DegenerateCodeError("decoding tree has no internal node; the code cannot be streamed")
     streams = tuple(streams)

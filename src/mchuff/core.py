@@ -114,6 +114,16 @@ class ChannelProfile:
     def n(self) -> int:
         return len(self.sizes)
 
+    @property
+    def canonical_index(self) -> tuple[int, ...]:
+        """``canonical_index[u]`` is the canonical position of the caller's channel ``u``."""
+        return tuple(sorted(range(self.n), key=self.user_order.__getitem__))
+
+    @property
+    def user_sizes(self) -> tuple[int, ...]:
+        """Alphabet sizes in the caller's channel order."""
+        return tuple(self.sizes[c] for c in self.canonical_index)
+
     @classmethod
     def from_sizes(cls, sizes: Iterable[int]) -> "ChannelProfile":
         raw = list(sizes)
@@ -126,10 +136,11 @@ class ChannelProfile:
         return cls(tuple(raw[i] for i in order), tuple(order))
 
 
-def entropy(dist: Distribution) -> float:
-    """Entropy of the source in nats."""
+def entropy(dist) -> float:
+    """Entropy in nats of a Distribution, or of a sequence of masses summing to 1."""
+    masses = getattr(dist, "masses", dist)
     # + 0.0 normalizes the -0.0 a deterministic single-mass source produces
-    return -sum(float(p) * math.log(p) for p in dist.masses) + 0.0
+    return -sum(float(p) * math.log(p) for p in masses) + 0.0
 
 
 def description_length(lengths: Sequence[int], profile) -> float:

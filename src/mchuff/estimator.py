@@ -14,13 +14,8 @@ from fractions import Fraction
 
 from .codec import decode, encode
 from .core import ChannelProfile, Distribution, entropy
-from .heuristics import METRICS, pruned_search, suboptimal_build
-from .huffman import huffman_merge_sequence
-from .search import SearchResult, optimal_search, replay_sequence
+from .heuristics import construct
 from .tree import codebook_from_tree
-from .tree import expected_length as tree_expected_length
-
-_METHODS = ("optimal", "suboptimal", "prune", "single")
 
 
 class NotFittedError(ValueError):
@@ -35,15 +30,8 @@ class MultiChannelHuffmanCoder:
     channels:
         Alphabet size per channel, e.g. ``(2, 3)`` for one binary and one
         ternary stream.
-    method:
-        ``"optimal"`` (exhaustive merge-sequence search), ``"suboptimal"``
-        (never worse than any single-channel Huffman code), ``"prune"``
-        (heuristic search under ``metric``) or ``"single"`` (single-channel
-        Huffman on ``channel``; the other streams stay empty).
-    metric:
-        Pruning metric for ``method="prune"``; one of METRICS.
-    channel:
-        Index into ``channels`` for ``method="single"``.
+    method, metric, channel:
+        Passed to ``construct``, which documents them.
 
     Attributes set by fit: ``classes_`` (symbols, least frequent first),
     ``distribution_``, ``profile_``, ``tree_``, ``codebook_``,
@@ -85,7 +73,7 @@ class MultiChannelHuffmanCoder:
         profile = ChannelProfile.from_sizes(tuple(self.channels))
         total = sum(weights, Fraction(0))
         dist = Distribution.from_masses([w / total for w in weights])
-        result = self._construct(dist, profile)
+        result = construct(dist, profile, self.method, metric=self.metric, channel=self.channel)
 
         self.profile_ = profile
         self.distribution_ = dist
@@ -108,8 +96,7 @@ class MultiChannelHuffmanCoder:
                 raise ValueError(f"symbol {sym!r} at position {pos} was not seen during fit")
             indices.append(j)
         canonical = encode(self.codebook_, indices)
-        inv = self._canonical_of_user()
-        return tuple(canonical[inv[u]] for u in range(self.profile_.n))
+        return tuple(canonical[c] for c in self.profile_.canonical_index)
 
     def inverse_transform(self, streams) -> list:
         """Decode channel streams (caller's channel order) back into symbols."""
@@ -117,35 +104,11 @@ class MultiChannelHuffmanCoder:
         streams = tuple(streams)
         if len(streams) != self.profile_.n:
             raise ValueError(f"expected {self.profile_.n} streams, got {len(streams)}")
-        canonical = tuple(streams[self.profile_.user_order[c]] for c in range(self.profile_.n))
+        canonical = tuple(streams[u] for u in self.profile_.user_order)
         return [self.classes_[j] for j in decode(self.tree_, canonical)]
 
     def fit_transform(self, X, y=None) -> tuple[str, ...]:
         return self.fit(X, y).transform(X)
-
-    def _construct(self, dist: Distribution, profile: ChannelProfile) -> SearchResult:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.method == "optimal":
-            return optimal_search(dist, profile)
-        if self.method == "suboptimal":
-            return suboptimal_build(dist, profile)
-        if self.method == "prune":
-            if self.metric not in METRICS:
-                raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
-            result, _ = pruned_search(dist, profile, self.metric)
-            return result
-        if not 0 <= self.channel < profile.n:
-            raise ValueError(f"channel must index into channels, got {self.channel!r}")
-        canon = profile.user_order.index(self.channel)
-        seq = huffman_merge_sequence(dist.m, profile.sizes[canon])
-        root, steps = replay_sequence(dist, profile, seq, classes=(canon,) * len(seq))
-        return SearchResult(
-            tree=root,
-            steps=steps,
-            expected_length=tree_expected_length(root, dist),
-            subproblem_count=0,
-        )
 
     @staticmethod
     def _tally(X) -> tuple[list, list[Fraction]]:
@@ -165,12 +128,6 @@ class MultiChannelHuffmanCoder:
         symbols = [sym for sym, _ in pairs]
         weights = [w for _, w in pairs]
         return symbols, weights
-
-    def _canonical_of_user(self) -> list[int]:
-        inv = [0] * self.profile_.n
-        for canon, user in enumerate(self.profile_.user_order):
-            inv[user] = canon
-        return inv
 
     def _check_fitted(self) -> None:
         if not hasattr(self, "tree_"):

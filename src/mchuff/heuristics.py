@@ -14,15 +14,22 @@ the very first round.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ChannelProfile, Distribution, NATS_EPS
-from .huffman import huffman_expected_length
-from .search import SearchResult, enumerate_merge_sequences, replay_sequence, step_class
+from .core import ChannelProfile, Distribution, NATS_EPS, entropy
+from .huffman import huffman_expected_length, huffman_merge_sequence
+from .search import (
+    SearchResult,
+    enumerate_merge_sequences,
+    merge_smallest,
+    optimal_search,
+    replay_sequence,
+    step_class,
+)
 from .tree import Leaf
+from .tree import expected_length as tree_expected_length
 
 METRICS = (
     "redundancy",
@@ -59,19 +66,12 @@ def apply_merge(state: MergeState, k: int, profile: ChannelProfile) -> MergeStat
     added_length = s * math.log(q)
     # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children
     added_red = added_length - s * math.log(merged) + sum(float(c) * math.log(c) for c in picked)
-    rest = list(state.masses[k:])
-    bisect.insort(rest, merged)
     return MergeState(
-        tuple(rest),
+        merge_smallest(state.masses, k, merged),
         state.sequence + (k,),
         state.accumulated_length + added_length,
         state.accumulated_redundancy + added_red,
     )
-
-
-def _multiset_entropy(masses) -> float:
-    # + 0.0 normalizes the -0.0 a fully merged multiset produces
-    return -sum(float(p) * math.log(p) for p in masses) + 0.0
 
 
 def metric_value(state: MergeState, metric: str, profile: ChannelProfile) -> float:
@@ -81,9 +81,9 @@ def metric_value(state: MergeState, metric: str, profile: ChannelProfile) -> flo
     if metric == "expected_length":
         return state.accumulated_length
     if metric == "entropy":
-        return _multiset_entropy(state.masses)
+        return entropy(state.masses)
     if metric == "expected_plus_entropy":
-        return state.accumulated_length + _multiset_entropy(state.masses)
+        return state.accumulated_length + entropy(state.masses)
     if metric == "huffman_completion":
         best = min(huffman_expected_length(state.masses, q) for q in set(profile.sizes))
         return state.accumulated_length + best
@@ -225,3 +225,33 @@ def suboptimal_build(dist: Distribution, profile: ChannelProfile) -> SearchResul
         return SearchResult(tree=Leaf(0), steps=(), expected_length=0.0, subproblem_count=0)
     result, _ = pruned_search(dist, profile, "huffman_completion")
     return result
+
+
+def construct(
+    dist: Distribution, profile: ChannelProfile, method: str, *,
+    metric: str = "huffman_completion", channel: int = 0,
+) -> SearchResult:
+    """Build a code with one of the package's constructions.
+
+    ``method`` is ``"optimal"`` (exhaustive merge-sequence search),
+    ``"suboptimal"`` (never worse than any single-channel Huffman code),
+    ``"prune"`` (pruned search under ``metric``, one of METRICS) or
+    ``"single"`` (q-ary Huffman on ``channel``, a 0-based index in the
+    caller's channel order; the other channels stay unused).
+    """
+    if method == "optimal":
+        return optimal_search(dist, profile)
+    if method == "suboptimal":
+        return suboptimal_build(dist, profile)
+    if method == "prune":
+        return pruned_search(dist, profile, metric)[0]
+    if method != "single":
+        raise ValueError(
+            f"method must be one of ('optimal', 'suboptimal', 'prune', 'single'), got {method!r}"
+        )
+    if not 0 <= channel < profile.n:
+        raise ValueError(f"channel must index into channels, got {channel!r}")
+    canon = profile.canonical_index[channel]
+    seq = huffman_merge_sequence(dist.m, profile.sizes[canon])
+    root, steps = replay_sequence(dist, profile, seq, classes=(canon,) * len(seq))
+    return SearchResult(root, steps, tree_expected_length(root, dist), subproblem_count=0)

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from . import digits
 from .core import ChannelProfile, Distribution
-from .tree import Codebook
+from .search import replay_sequence
+from .tree import Codebook, DummyLeaf, Leaf
 
 
 def dummy_count(m: int, q: int) -> int:
@@ -60,50 +61,35 @@ class SingleChannelCode:
 def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
     """Classic Huffman construction, deterministic under mass ties.
 
-    The priority queue orders items by (mass, creation number): original
-    symbols in canonical order first, merged nodes in production order.
-    Children take digits 0..q-1 in the order they were drawn.
+    The tree is the one ``replay_sequence`` builds for the q-ary merge
+    sequence: masses tie-break by canonical symbol order, merged nodes by
+    production order, children take digits 0..q-1 in the order they were
+    drawn, and padding fills the last slots of the first merge.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     m = dist.m
     if m == 1:
         return SingleChannelCode(q, (0,), ("",), 0.0, (), ())
-    w = dummy_count(m, q)
-    heap: list[tuple[Fraction, int, tuple]] = [
-        (p, j, ("leaf", j)) for j, p in enumerate(dist.masses)
-    ]
-    heap.extend((Fraction(0), m + d, ("dummy",)) for d in range(w))
-    heapq.heapify(heap)
-    merge_ks: list[int] = []
-    counter = m + w
-    while len(heap) > 1:
-        picked = [heapq.heappop(heap) for _ in range(q)]
-        merge_ks.append(sum(1 for _, _, node in picked if node[0] != "dummy"))
-        mass = sum((p for p, _, _ in picked), Fraction(0))
-        heapq.heappush(heap, (mass, counter, ("node", tuple(n for _, _, n in picked))))
-        counter += 1
-    root = heap[0][2]
+    root, steps = replay_sequence(dist, ChannelProfile((q,), (0,)), huffman_merge_sequence(m, q))
 
     lengths = [0] * m
     codewords = [""] * m
     dummy_lengths: list[int] = []
-
-    def walk(node: tuple, depth: int, path: tuple[int, ...]) -> None:
-        kind = node[0]
-        if kind == "leaf":
-            lengths[node[1]] = depth
-            codewords[node[1]] = digits.render(path, q)
-        elif kind == "dummy":
-            dummy_lengths.append(depth)
+    stack = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, Leaf):
+            lengths[node.symbol] = len(path)
+            codewords[node.symbol] = digits.render(path, q)
+        elif isinstance(node, DummyLeaf):
+            dummy_lengths.append(len(path))
         else:
-            for digit, child in enumerate(node[1]):
-                walk(child, depth + 1, path + (digit,))
-
-    walk(root, 0, ())
+            stack.extend((child, path + (digit,)) for digit, child in enumerate(node.children))
     expected = sum(float(p) * l for p, l in zip(dist.masses, lengths)) * math.log(q)
+    merge_ks = tuple(step.k for step in steps)
     return SingleChannelCode(
-        q, tuple(lengths), tuple(codewords), expected, tuple(dummy_lengths), tuple(merge_ks)
+        q, tuple(lengths), tuple(codewords), expected, tuple(dummy_lengths), merge_ks
     )
 
 

@@ -15,14 +15,13 @@ need an insert-if-absent map to produce identical results.
 from __future__ import annotations
 
 import bisect
-import itertools
 import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ChannelProfile, Distribution, NATS_EPS, dummy_bound
+from .core import ChannelProfile, Distribution, NATS_EPS
 from .tree import DummyLeaf, Internal, Leaf, Node
 
 
@@ -100,7 +99,12 @@ def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int
     return out
 
 
-def _reduce(masses: tuple[Fraction, ...], k: int, merged: Fraction) -> tuple[Fraction, ...]:
+def merge_smallest(masses: tuple[Fraction, ...], k: int, merged: Fraction) -> tuple[Fraction, ...]:
+    """The sorted multiset left after the ``k`` smallest masses merge into ``merged``.
+
+    ``merged`` is their exact sum, which callers have already computed. The
+    merged mass is inserted after any equal masses, so ties keep their order.
+    """
     rest = list(masses[k:])
     bisect.insort(rest, merged)
     return tuple(rest)
@@ -134,7 +138,7 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
             if k > len(masses):
                 break
             merged = sum(masses[:k], Fraction(0))
-            sub, seq = inner(_reduce(masses, k, merged))
+            sub, seq = inner(merge_smallest(masses, k, merged))
             if seq is None:
                 continue
             cand = sub + float(merged) * logs[k]
@@ -148,7 +152,7 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
     for k in range(2, min(profile.sizes[-1], dist.m) + 1):
         ci, _ = step_class(profile, k, first=True)
         merged = sum(dist.masses[:k], Fraction(0))
-        sub, seq = inner(_reduce(dist.masses, k, merged))
+        sub, seq = inner(merge_smallest(dist.masses, k, merged))
         if seq is None:
             continue
         cand = sub + float(merged) * math.log(profile.sizes[ci])
@@ -203,75 +207,3 @@ def replay_sequence(
     if len(heap) != 1:
         raise ValueError("merge sequence does not reduce the masses to one")
     return heap[0][2], tuple(steps)
-
-
-def brute_force_oracle(dist: Distribution, profile: ChannelProfile, max_m: int = 5) -> float:
-    """Minimum expected length over exhaustively enumerated decoding trees.
-
-    Independent check for the merge-sequence search: enumerates every tree
-    shape with ``m`` real leaves, fewer padding leaves than dummy_bound and
-    at most ``2 m`` internal nodes, then tries every assignment of masses
-    to leaves. Cost is exponential in m times m!, hence the ``max_m``
-    guard.
-    """
-    if dist.m > max_m:
-        raise ValueError(f"oracle limited to m <= {max_m}, got {dist.m}")
-    if dist.m == 1:
-        return 0.0
-    qs = sorted(set(profile.sizes))
-    budget = dummy_bound(profile) - 1
-    cap = 2 * dist.m
-    memo: dict[tuple[int, int], frozenset] = {}
-
-    def shapes(r: int, dummies: int) -> frozenset:
-        """(sorted leaf depths in nats, dummies used, internal nodes) over r-leaf subtrees."""
-        key = (r, dummies)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc: set[tuple[tuple[float, ...], int, int]] = set()
-        if r == 1:
-            acc.add(((0.0,), 0, 0))
-        for q in qs:
-            lnq = math.log(q)
-            for parts in _compositions(r, q):
-                zeros = parts.count(0)
-                if zeros > dummies:
-                    continue
-                combos: list[tuple[tuple[float, ...], int, int]] = [((), zeros, 1)]
-                for part in parts:
-                    if part == 0:
-                        continue
-                    nxt = []
-                    for depths, used, nodes in combos:
-                        for cd, cu, cn in shapes(part, dummies - used):
-                            if used + cu <= dummies and nodes + cn <= cap:
-                                nxt.append((depths + cd, used + cu, nodes + cn))
-                    combos = nxt
-                    if not combos:
-                        break
-                for depths, used, nodes in combos:
-                    acc.add((tuple(sorted(d + lnq for d in depths)), used, nodes))
-        result = frozenset(acc)
-        memo[key] = result
-        return result
-
-    depth_sets = {depths for depths, _, _ in shapes(dist.m, budget)}
-    masses = [float(p) for p in dist.masses]
-    best = math.inf
-    for depths in depth_sets:
-        for perm in itertools.permutations(masses):
-            value = sum(p * d for p, d in zip(perm, depths))
-            if value < best:
-                best = value
-    return best
-
-
-def _compositions(total: int, parts: int):
-    """Ordered splits of ``total`` into ``parts`` nonnegative integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest

@@ -135,14 +135,6 @@ def count_leaves(root: Node) -> int:
     return len(_leaf_symbols(root))
 
 
-def count_dummies(root: Node) -> int:
-    if isinstance(root, DummyLeaf):
-        return 1
-    if isinstance(root, Internal):
-        return sum(count_dummies(c) for c in root.children)
-    return 0
-
-
 def codebook_from_tree(root: Node, profile) -> Codebook:
     """Concatenate branch digits per channel along each root-to-leaf path.
 

@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests.
+"""Shared generators and reference oracles for tests.
 
 All randomness is seeded from the MCHUFF_SEED environment variable
 (default 0) so test vectors are reproducible.
@@ -6,11 +6,13 @@ All randomness is seeded from the MCHUFF_SEED environment variable
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import random
 from fractions import Fraction
 
-from mchuff import ChannelProfile, Distribution, replay_sequence
+from mchuff import ChannelProfile, Distribution, DummyLeaf, Internal, dummy_bound, replay_sequence
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
 
@@ -54,3 +56,83 @@ def random_sequence(rng: random.Random, m: int, profile: ChannelProfile) -> tupl
 def random_tree(rng: random.Random, dist: Distribution, profile: ChannelProfile):
     """A valid decoding tree built from a random admissible merge sequence."""
     return replay_sequence(dist, profile, random_sequence(rng, dist.m, profile))
+
+
+def count_dummies(root) -> int:
+    if isinstance(root, DummyLeaf):
+        return 1
+    if isinstance(root, Internal):
+        return sum(count_dummies(c) for c in root.children)
+    return 0
+
+
+def brute_force_oracle(dist: Distribution, profile: ChannelProfile, max_m: int = 5) -> float:
+    """Minimum expected length over exhaustively enumerated decoding trees.
+
+    Independent check for the merge-sequence search: enumerates every tree
+    shape with ``m`` real leaves, fewer padding leaves than dummy_bound and
+    at most ``2 m`` internal nodes, then tries every assignment of masses
+    to leaves. Cost is exponential in m times m!, hence the ``max_m``
+    guard.
+    """
+    if dist.m > max_m:
+        raise ValueError(f"oracle limited to m <= {max_m}, got {dist.m}")
+    if dist.m == 1:
+        return 0.0
+    qs = sorted(set(profile.sizes))
+    budget = dummy_bound(profile) - 1
+    cap = 2 * dist.m
+    memo: dict[tuple[int, int], frozenset] = {}
+
+    def shapes(r: int, dummies: int) -> frozenset:
+        """(sorted leaf depths in nats, dummies used, internal nodes) over r-leaf subtrees."""
+        key = (r, dummies)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        acc: set[tuple[tuple[float, ...], int, int]] = set()
+        if r == 1:
+            acc.add(((0.0,), 0, 0))
+        for q in qs:
+            lnq = math.log(q)
+            for parts in _compositions(r, q):
+                zeros = parts.count(0)
+                if zeros > dummies:
+                    continue
+                combos: list[tuple[tuple[float, ...], int, int]] = [((), zeros, 1)]
+                for part in parts:
+                    if part == 0:
+                        continue
+                    nxt = []
+                    for depths, used, nodes in combos:
+                        for cd, cu, cn in shapes(part, dummies - used):
+                            if used + cu <= dummies and nodes + cn <= cap:
+                                nxt.append((depths + cd, used + cu, nodes + cn))
+                    combos = nxt
+                    if not combos:
+                        break
+                for depths, used, nodes in combos:
+                    acc.add((tuple(sorted(d + lnq for d in depths)), used, nodes))
+        result = frozenset(acc)
+        memo[key] = result
+        return result
+
+    depth_sets = {depths for depths, _, _ in shapes(dist.m, budget)}
+    masses = [float(p) for p in dist.masses]
+    best = math.inf
+    for depths in depth_sets:
+        for perm in itertools.permutations(masses):
+            value = sum(p * d for p, d in zip(perm, depths))
+            if value < best:
+                best = value
+    return best
+
+
+def _compositions(total: int, parts: int):
+    """Ordered splits of ``total`` into ``parts`` nonnegative integers."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest

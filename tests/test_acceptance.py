@@ -17,7 +17,6 @@ from mchuff import (
     CorruptionError,
     Distribution,
     TruncationError,
-    brute_force_oracle,
     build_single_huffman,
     codebook_from_tree,
     decode,
@@ -38,7 +37,7 @@ from mchuff import (
     tree_from_two_channel_prefix,
 )
 
-from helpers import PROFILES, make_rng, random_distribution, random_tree
+from helpers import PROFILES, brute_force_oracle, make_rng, random_distribution, random_tree
 from expected_tables import BENCHMARK_CHANNELS, BENCHMARK_MASSES, TRACES, WINNERS
 
 PROFILE_23 = ChannelProfile.from_sizes((2, 3))

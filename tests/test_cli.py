@@ -1,16 +1,23 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from mchuff import METRICS
 from mchuff.cli import main
 
 from helpers import make_rng
 
 GOLDEN = Path(__file__).parent / "golden" / "tables.tsv"
+BUILD_GOLDEN = Path(__file__).parent / "golden" / "build_sha256.tsv"
 
 BENCHMARK = {"masses": ["0.13", "0.199", "0.212", "0.217", "0.242"], "channels": [2, 3]}
 ENTROPY_ROW = {"masses": ["1/6", "1/6", "1/3", "1/3"], "channels": [2, 3]}
+# six masses, so single-channel codes on q = 3 and q = 5 need padding slots
+PADDED_SIX = ["0.05", "0.1", "0.12", "0.18", "0.25", "0.3"]
+BUILD_CHANNELS = ([3, 2], [2, 3, 5])
+BUILD_FILES = ("tree.json", "codebook.json", "stats.json")
 EXAMPLE_THREE = {"channels": [2, 2, 2], "words": [["0", "0", ""], ["1", "", "0"], ["", "1", "1"]]}
 
 
@@ -47,10 +54,31 @@ class TestAnalyze:
         assert main(["analyze", str(dist)]) == 0
         assert "rescaled" in capsys.readouterr().out
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "d.json").write_bytes(b"\xff\xfe")
+        assert main(["analyze", str(tmp_path / "d.json")]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", {"masses": ["0.5", "oops"], "channels": [2, 3]})
         assert main(["analyze", str(dist)]) == 2
         assert "masses[1]" in capsys.readouterr().err
+
+
+def build_hashes(tmp_path: Path) -> str:
+    """sha256 of each build output file, one TSV line per channel list, method and file."""
+    lines = []
+    for channels in BUILD_CHANNELS:
+        dist = write_json(tmp_path / "d.json", {"masses": PADDED_SIX, "channels": channels})
+        methods = ["optimal", "suboptimal"] + [f"prune={metric}" for metric in METRICS]
+        methods += [f"single={c}" for c in range(1, len(channels) + 1)]
+        for method in methods:
+            out = tmp_path / "out"
+            assert main(["build", str(dist), "--method", method, "--out-dir", str(out)]) == 0
+            for name in BUILD_FILES:
+                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                lines.append(f"{','.join(map(str, channels))}\t{method}\t{name}\t{digest}")
+    return "\n".join(lines) + "\n"
 
 
 class TestBuild:
@@ -96,6 +124,10 @@ class TestBuild:
         for name in ("tree.json", "codebook.json", "stats.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_output_bytes_match_golden(self, tmp_path):
+        """Every method's output files hash to the recorded values (tests/golden/build_sha256.tsv)."""
+        assert build_hashes(tmp_path) == BUILD_GOLDEN.read_text()
+
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", BENCHMARK)
         assert main(["build", str(dist), "--method", "magic", "--out-dir", str(tmp_path)]) == 2
@@ -111,11 +143,20 @@ class TestBuild:
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert abs(stats["expected_length_nats"] - 1.32966134885) < 1e-9
 
+    def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):
+        dist = write_json(tmp_path / "d.json", BENCHMARK)
+        assert main(["build", str(dist), "--out-dir", str(dist)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestTables:
     def test_matches_golden(self, capsys):
         assert main(["tables"]) == 0
         assert capsys.readouterr().out == GOLDEN.read_text()
+
+    def test_missing_out_dir_exits_2(self, tmp_path, capsys):
+        assert main(["tables", "--out", str(tmp_path / "nodir" / "x.tsv")]) == 2
+        assert "nodir" in capsys.readouterr().err
 
 
 class TestEnumerate:
@@ -189,6 +230,23 @@ class TestCodecCommands:
         ) == 0
         assert main(["decode", str(book), str(tmp_path / "streams.json")]) == 2
         assert "not tree-decodable" in capsys.readouterr().err
+
+    def test_missing_symbols_file_exits_2(self, tmp_path, capsys):
+        out = self.build(tmp_path)
+        assert main(["encode", str(out / "codebook.json"), str(tmp_path / "missing.txt")]) == 2
+        assert "missing.txt" in capsys.readouterr().err
+
+    def test_negative_count_exits_2(self, tmp_path, capsys):
+        out = self.build(tmp_path)
+        (tmp_path / "syms.txt").write_text("0 1 2\n")
+        assert main(
+            ["encode", str(out / "codebook.json"), str(tmp_path / "syms.txt"),
+             "--out", str(tmp_path / "streams.json")]
+        ) == 0
+        assert main(
+            ["decode", str(out / "tree.json"), str(tmp_path / "streams.json"), "--count", "-1"]
+        ) == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_count_mismatch_exits_3(self, tmp_path):
         out = self.build(tmp_path)

@@ -110,6 +110,10 @@ class TestDecode:
         with pytest.raises(TrailingDataError):
             decode(A_TREE, streams, count=2)
 
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            decode(A_TREE, encode(A_BOOK, [0, 2, 3]), count=-1)
+
     def test_rejects_single_leaf_tree(self):
         with pytest.raises(DegenerateCodeError):
             decode(Leaf(0), ("", ""))

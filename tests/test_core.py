@@ -49,6 +49,10 @@ class TestChannelProfile:
         p = ChannelProfile.from_sizes([3, 2])
         assert p.sizes == (2, 3)
         assert p.user_order == (1, 0)
+        p = ChannelProfile.from_sizes([5, 2, 3])
+        assert p.user_order == (1, 2, 0)
+        assert p.canonical_index == (2, 0, 1)
+        assert p.user_sizes == (5, 2, 3)
 
     def test_rejects_small_alphabets(self):
         with pytest.raises(ValueError, match=r"channels\[1\]"):
@@ -64,6 +68,7 @@ class TestEntropy:
         assert entropy(Distribution.from_masses([1])) == 0.0
         d5 = Distribution.from_masses(["0.13", "0.199", "0.212", "0.217", "0.242"])
         assert entropy(d5) == pytest.approx(1.5902511945, abs=1e-9)
+        assert entropy(d5.masses) == entropy(d5)
 
     def test_permutation_invariant_and_uniform_max(self):
         rng = make_rng("entropy")

@@ -5,6 +5,7 @@ from mchuff import (
     ChannelProfile,
     Distribution,
     apply_merge,
+    construct,
     huffman_expected_length,
     initial_state,
     metric_value,
@@ -147,3 +148,29 @@ class TestSuboptimalBuild:
             result = suboptimal_build(dist, profile)
             floor = min(huffman_expected_length(dist.masses, q) for q in set(profile.sizes))
             assert result.expected_length <= floor + 1e-9
+
+
+class TestConstruct:
+    def test_dispatches_each_method(self):
+        assert construct(BENCHMARK, PROFILE, "optimal") == optimal_search(BENCHMARK, PROFILE)
+        assert construct(BENCHMARK, PROFILE, "suboptimal") == suboptimal_build(BENCHMARK, PROFILE)
+        for metric in METRICS:
+            assert construct(BENCHMARK, PROFILE, "prune", metric=metric) == pruned_search(
+                BENCHMARK, PROFILE, metric
+            )[0]
+
+    def test_single_reads_channel_in_caller_order(self):
+        profile = ChannelProfile.from_sizes((3, 2))
+        result = construct(BENCHMARK, profile, "single", channel=0)
+        assert {step.class_index for step in result.steps} == {1}
+        assert result.expected_length == pytest.approx(
+            huffman_expected_length(BENCHMARK.masses, 3), abs=1e-12
+        )
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="method"):
+            construct(BENCHMARK, PROFILE, "best")
+        with pytest.raises(ValueError, match="metric"):
+            construct(BENCHMARK, PROFILE, "prune", metric="vibes")
+        with pytest.raises(ValueError, match="channel"):
+            construct(BENCHMARK, PROFILE, "single", channel=2)

@@ -8,6 +8,8 @@ from mchuff import (
     ChannelProfile,
     Distribution,
     build_single_huffman,
+    codebook_from_tree,
+    construct,
     description_length,
     dummy_count,
     entropy,
@@ -126,6 +128,28 @@ class TestBuildSingleHuffman:
         assert huffman_merge_sequence(5, 3) == (3, 3)
         assert huffman_merge_sequence(6, 3) == (2, 3, 3)
         assert huffman_merge_sequence(4, 2) == (2, 2, 2)
+
+    def test_codewords_match_single_channel_construction(self):
+        rng = make_rng("huffman-construct")
+        padded = 0
+        for _ in range(40):
+            sizes = rng.choice([(2, 3), (3, 5), (4, 2, 3)])
+            profile = ChannelProfile.from_sizes(sizes)
+            d = random_distribution(rng, rng.randint(2, 12))
+            for user, q in enumerate(sizes):
+                padded += dummy_count(d.m, q) > 0
+                result = construct(d, profile, "single", channel=user)
+                book = codebook_from_tree(result.tree, profile)
+                words = tuple(word[profile.canonical_index[user]] for word in book.words)
+                assert build_single_huffman(d, q).codewords == words
+        assert padded > 0
+
+    def test_deep_tree_without_recursion_limit(self):
+        m = 1200
+        masses = [Fraction(1, 2**j) for j in range(1, m)]
+        code = build_single_huffman(Distribution.from_masses(masses + [masses[-1]]), 2)
+        assert max(code.lengths) == m - 1
+        assert code.merge_ks == (2,) * (m - 1)
 
 
 class TestTrivialExtension:

@@ -9,7 +9,6 @@ from mchuff import (
     DummyLeaf,
     Internal,
     Leaf,
-    brute_force_oracle,
     build_single_huffman,
     codebook_from_tree,
     description_length,
@@ -22,7 +21,7 @@ from mchuff import (
     replay_sequence,
 )
 
-from helpers import PROFILES, make_rng, random_distribution
+from helpers import PROFILES, brute_force_oracle, make_rng, random_distribution
 
 PROFILE_23 = ChannelProfile.from_sizes((2, 3))
 

@@ -25,9 +25,7 @@ from mchuff import (
     tree_to_obj,
     validate_tree,
 )
-from mchuff.tree import count_dummies
-
-from helpers import PROFILES, make_rng, random_distribution, random_tree
+from helpers import PROFILES, count_dummies, make_rng, random_distribution, random_tree
 
 PROFILE_23 = ChannelProfile.from_sizes((2, 3))
 
