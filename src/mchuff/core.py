@@ -1,15 +1,20 @@
 """Exact-arithmetic domain types and information measures.
 
-Probability masses are exact rationals end to end; floating point enters
-only through logarithms. This keeps Kraft sums exactly comparable against
-1 and makes multiset memo keys deterministic.
+Probability masses are exact rationals. A distribution also carries them
+as integer weights over one common denominator, ``Distribution.scale``;
+the merge-sequence searches add, compare and hash those integers, which
+is exact and much cheaper than rational arithmetic. Floating point enters
+only through logarithms and the divisions ``w / scale`` that feed them,
+which round exactly as ``float(Fraction(w, scale))`` does. This keeps
+Kraft sums exactly comparable against 1 and makes multiset memo keys
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 #: Expected lengths and entropies (in nats) closer than this count as ties.
@@ -32,11 +37,17 @@ class Distribution:
     distribution was built from, letting callers report results under their
     own symbol numbering. ``rescaled`` is set when the input total missed 1
     by a tiny residue and the last input mass absorbed it.
+
+    ``scale`` is the least common multiple of the mass denominators and
+    ``weights[j] == masses[j] * scale`` are the masses as integers; both
+    are derived, not passed in.
     """
 
     masses: tuple[Fraction, ...]
     input_order: tuple[int, ...]
     rescaled: bool = False
+    scale: int = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.masses:
@@ -45,10 +56,14 @@ class Distribution:
             raise ValueError("all masses must be positive")
         if any(a > b for a, b in zip(self.masses, self.masses[1:])):
             raise ValueError("masses must be nondecreasing")
-        if sum(self.masses) != 1:
+        scale = math.lcm(*(p.denominator for p in self.masses))
+        weights = tuple(p.numerator * (scale // p.denominator) for p in self.masses)
+        if sum(weights) != scale:
             raise ValueError("masses must sum to exactly 1")
         if sorted(self.input_order) != list(range(len(self.masses))):
             raise ValueError("input_order must be a permutation of the mass indices")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def m(self) -> int:
@@ -64,6 +79,8 @@ class Distribution:
         """
         raw: list[Fraction] = []
         for idx, v in enumerate(values):
+            if isinstance(v, bool):
+                raise ValueError(f"masses[{idx}]: a boolean is not a mass, got {v!r}")
             try:
                 f = Fraction(str(v)) if isinstance(v, float) else Fraction(v)
             except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -137,10 +154,15 @@ class ChannelProfile:
 
 
 def entropy(dist) -> float:
-    """Entropy in nats of a Distribution, or of a sequence of masses summing to 1."""
+    """Entropy in nats of a Distribution, or of a sequence of masses summing to 1.
+
+    A mass whose float rounds to 0.0 (below about 2**-1075) would add
+    exactly 0.0, so it is skipped rather than passed to ``log``.
+    """
     masses = getattr(dist, "masses", dist)
+    floats = (float(p) for p in masses)
     # + 0.0 normalizes the -0.0 a deterministic single-mass source produces
-    return -sum(float(p) * math.log(p) for p in masses) + 0.0
+    return -sum(f * math.log(f) for f in floats if f) + 0.0
 
 
 def description_length(lengths: Sequence[int], profile) -> float:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import ChannelProfile, Distribution, NATS_EPS, entropy
-from .huffman import huffman_expected_length, huffman_merge_sequence
+from .huffman import huffman_merge_sequence, huffman_merged_total
 from .search import (
     SearchResult,
     enumerate_merge_sequences,
@@ -42,16 +41,21 @@ METRICS = (
 
 @dataclass(frozen=True)
 class MergeState:
-    """Partial construction: merges applied so far and the reduced multiset."""
+    """Partial construction: merges applied so far and the reduced multiset.
 
-    masses: tuple[Fraction, ...]
+    ``masses`` are integer weights; mass ``c`` is the probability
+    ``c / scale``, with ``scale`` the source's ``Distribution.scale``.
+    """
+
+    masses: tuple[int, ...]
+    scale: int
     sequence: tuple[int, ...]
     accumulated_length: float
     accumulated_redundancy: float
 
 
 def initial_state(dist: Distribution) -> MergeState:
-    return MergeState(dist.masses, (), 0.0, 0.0)
+    return MergeState(dist.weights, dist.scale, (), 0.0, 0.0)
 
 
 def apply_merge(state: MergeState, k: int, profile: ChannelProfile) -> MergeState:
@@ -60,14 +64,18 @@ def apply_merge(state: MergeState, k: int, profile: ChannelProfile) -> MergeStat
         raise ValueError(f"cannot merge {k} of {len(state.masses)} masses")
     ci, _ = step_class(profile, k, first=not state.sequence)
     q = profile.sizes[ci]
+    scale = state.scale
     picked = state.masses[:k]
-    merged = sum(picked, Fraction(0))
-    s = float(merged)
+    merged = sum(picked)
+    s = merged / scale
     added_length = s * math.log(q)
     # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children
-    added_red = added_length - s * math.log(merged) + sum(float(c) * math.log(c) for c in picked)
+    added_red = added_length - s * math.log(s) + sum(
+        c / scale * math.log(c / scale) for c in picked
+    )
     return MergeState(
         merge_smallest(state.masses, k, merged),
+        scale,
         state.sequence + (k,),
         state.accumulated_length + added_length,
         state.accumulated_redundancy + added_red,
@@ -81,11 +89,14 @@ def metric_value(state: MergeState, metric: str, profile: ChannelProfile) -> flo
     if metric == "expected_length":
         return state.accumulated_length
     if metric == "entropy":
-        return entropy(state.masses)
+        return entropy([c / state.scale for c in state.masses])
     if metric == "expected_plus_entropy":
-        return state.accumulated_length + entropy(state.masses)
+        return state.accumulated_length + entropy([c / state.scale for c in state.masses])
     if metric == "huffman_completion":
-        best = min(huffman_expected_length(state.masses, q) for q in set(profile.sizes))
+        best = min(
+            huffman_merged_total(state.masses, q) / state.scale * math.log(q)
+            for q in set(profile.sizes)
+        )
         return state.accumulated_length + best
     raise ValueError(f"unknown metric {metric!r}; choose one of {METRICS}")
 

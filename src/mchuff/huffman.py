@@ -7,11 +7,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TypeVar
 
 from . import digits
 from .core import ChannelProfile, Distribution
 from .search import replay_sequence
 from .tree import Codebook, DummyLeaf, Leaf
+
+Mass = TypeVar("Mass", int, Fraction)
 
 
 def dummy_count(m: int, q: int) -> int:
@@ -93,19 +96,29 @@ def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
     )
 
 
-def huffman_expected_length(masses: Sequence[Fraction], q: int) -> float:
-    """Expected length in nats of an optimal q-ary code, without building it."""
+def huffman_merged_total(masses: Sequence[Mass], q: int) -> Mass | int:
+    """Sum of the merged masses over the rounds of the q-ary Huffman procedure.
+
+    That sum is the expected codeword length in q-ary digits. It is exact
+    for exact masses: ``Fraction`` probabilities, or integer weights over a
+    common denominator (then the total is over that denominator too).
+    """
     m = len(masses)
     if m == 1:
-        return 0.0
-    heap = [Fraction(0)] * dummy_count(m, q) + sorted(masses)
+        return 0
+    heap = [0] * dummy_count(m, q) + sorted(masses)
     heapq.heapify(heap)
-    total = Fraction(0)
+    total = 0
     while len(heap) > 1:
-        s = sum((heapq.heappop(heap) for _ in range(q)), Fraction(0))
+        s = sum(heapq.heappop(heap) for _ in range(q))
         total += s
         heapq.heappush(heap, s)
-    return float(total) * math.log(q)
+    return total
+
+
+def huffman_expected_length(masses: Sequence[Fraction], q: int) -> float:
+    """Expected length in nats of an optimal q-ary code, without building it."""
+    return float(huffman_merged_total(masses, q)) * math.log(q)
 
 
 def trivial_extension(code: SingleChannelCode, channel_index: int, profile: ChannelProfile) -> Codebook:

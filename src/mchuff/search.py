@@ -5,7 +5,10 @@ masses; the only freedom is how many to merge per round. The first round
 may pad a channel's slots with dummy (zero-probability) masses; later
 rounds must fill a channel exactly, which confines all dummies to the
 deepest node. Memoizing subproblems on the exact reduced multiset makes
-the exponentially many sequences collapse onto shared work.
+the exponentially many sequences collapse onto shared work. The multiset
+is held as the integer weights of ``Distribution.weights``, all over the
+one denominator ``Distribution.scale``, so memo keys are tuples of ints
+and merges are int sums; a cost is ``merged / scale * ln q``.
 
 The search is pure and single-threaded; the memo table is an ordinary
 dict whose values are idempotent, so concurrent evaluation would only
@@ -99,11 +102,13 @@ def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int
     return out
 
 
-def merge_smallest(masses: tuple[Fraction, ...], k: int, merged: Fraction) -> tuple[Fraction, ...]:
+def merge_smallest(masses: tuple[int, ...], k: int, merged: int) -> tuple[int, ...]:
     """The sorted multiset left after the ``k`` smallest masses merge into ``merged``.
 
-    ``merged`` is their exact sum, which callers have already computed. The
-    merged mass is inserted after any equal masses, so ties keep their order.
+    Masses are integer weights over a common denominator (``Distribution.
+    scale``). ``merged`` is their exact sum, which callers have already
+    computed. The merged mass is inserted after any equal masses, so ties
+    keep their order.
     """
     rest = list(masses[k:])
     bisect.insort(rest, merged)
@@ -114,8 +119,8 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
     """Globally optimal tree-decodable code over all admissible merge sequences.
 
     Subproblems are memoized on the exact sorted multiset of remaining
-    masses; below the first round no dummies are needed, so one table
-    suffices. Ties within NATS_EPS resolve to the lexicographically
+    integer weights; below the first round no dummies are needed, so one
+    table suffices. Ties within NATS_EPS resolve to the lexicographically
     smallest sequence (smaller merge count first). With a single channel
     this reproduces the classic Huffman code.
     """
@@ -124,9 +129,10 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
 
     inner_ks = sorted(set(profile.sizes))
     logs = {k: math.log(k) for k in inner_ks}
-    memo: dict[tuple[Fraction, ...], tuple[float, tuple[int, ...] | None]] = {}
+    scale = dist.scale
+    memo: dict[tuple[int, ...], tuple[float, tuple[int, ...] | None]] = {}
 
-    def inner(masses: tuple[Fraction, ...]) -> tuple[float, tuple[int, ...] | None]:
+    def inner(masses: tuple[int, ...]) -> tuple[float, tuple[int, ...] | None]:
         if len(masses) == 1:
             return 0.0, ()
         hit = memo.get(masses)
@@ -137,11 +143,11 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
         for k in inner_ks:
             if k > len(masses):
                 break
-            merged = sum(masses[:k], Fraction(0))
+            merged = sum(masses[:k])
             sub, seq = inner(merge_smallest(masses, k, merged))
             if seq is None:
                 continue
-            cand = sub + float(merged) * logs[k]
+            cand = sub + merged / scale * logs[k]
             if cand < best - NATS_EPS:
                 best, best_seq = cand, (k,) + seq
         memo[masses] = (best, best_seq)
@@ -151,11 +157,11 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
     best_seq: tuple[int, ...] | None = None
     for k in range(2, min(profile.sizes[-1], dist.m) + 1):
         ci, _ = step_class(profile, k, first=True)
-        merged = sum(dist.masses[:k], Fraction(0))
-        sub, seq = inner(merge_smallest(dist.masses, k, merged))
+        merged = sum(dist.weights[:k])
+        sub, seq = inner(merge_smallest(dist.weights, k, merged))
         if seq is None:
             continue
-        cand = sub + float(merged) * math.log(profile.sizes[ci])
+        cand = sub + merged / scale * math.log(profile.sizes[ci])
         if cand < best - NATS_EPS:
             best, best_seq = cand, (k,) + seq
     if best_seq is None:

@@ -6,21 +6,32 @@ All randomness is seeded from the MCHUFF_SEED environment variable
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
 import random
 from fractions import Fraction
 
-from mchuff import ChannelProfile, Distribution, DummyLeaf, Internal, dummy_bound, replay_sequence
+from mchuff import (
+    METRICS,
+    ChannelProfile,
+    Distribution,
+    DummyLeaf,
+    Internal,
+    dummy_bound,
+    optimal_search,
+    pruned_search,
+    replay_sequence,
+)
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
 
 PROFILES = [(2, 3), (2, 4), (3, 4), (2, 2, 3)]
 
 
-def make_rng(tag: str) -> random.Random:
-    return random.Random(f"{SEED}:{tag}")
+def make_rng(tag: str, seed: str = SEED) -> random.Random:
+    return random.Random(f"{seed}:{tag}")
 
 
 def random_distribution(rng: random.Random, m: int) -> Distribution:
@@ -136,3 +147,46 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+#: Channel lists of the pinned search results (tests/golden/search_results.tsv).
+GOLDEN_SEARCH_CHANNELS = ((2,), (2, 3), (2, 3, 5), (3, 4))
+
+
+def search_results_tsv() -> str:
+    """Search outputs on fixed seeded instances, one row per instance and method.
+
+    Instances are drawn from seed "0" whatever MCHUFF_SEED says, so the text
+    can be compared with the recorded golden file. For every channel list
+    and mass kind ("counts": weights 1..4, many ties; "fine": weights
+    1..10^6) there are 8 sources with 2 <= m <= 12.
+    The ``optimal`` row holds ``optimal_search``'s sequence, expected length
+    as a float hex string and subproblem count; each metric row holds
+    ``pruned_search``'s sequence, expected length, state count, survivor
+    count and the sha256 of its trace table. Record the file with
+    ``PYTHONPATH=src:tests python3 -c "import helpers, sys;
+    sys.stdout.write(helpers.search_results_tsv())"``.
+    """
+    rng = make_rng("search-golden", seed="0")
+    rows = ["channels\tmasses\tmethod\tsequence\texpected_length\tsubproblems\tsurvivors\ttrace_sha256"]
+    for sizes in GOLDEN_SEARCH_CHANNELS:
+        profile = ChannelProfile.from_sizes(sizes)
+        for top in (4, 10**6):
+            for _ in range(8):
+                weights = [rng.randint(1, top) for _ in range(rng.randint(2, 12))]
+                dist = Distribution.from_masses([Fraction(w, sum(weights)) for w in weights])
+                lead = f"{','.join(map(str, sizes))}\t{','.join(map(str, dist.masses))}"
+                res = optimal_search(dist, profile)
+                rows.append(f"{lead}\toptimal\t{_seq(res.sequence)}\t"
+                            f"{res.expected_length.hex()}\t{res.subproblem_count}\t-\t-")
+                for metric in METRICS:
+                    res, trace = pruned_search(dist, profile, metric)
+                    digest = hashlib.sha256(trace.to_tsv().encode()).hexdigest()
+                    rows.append(f"{lead}\t{metric}\t{_seq(res.sequence)}\t"
+                                f"{res.expected_length.hex()}\t{res.subproblem_count}\t"
+                                f"{len(trace.survivors)}\t{digest}")
+    return "\n".join(rows) + "\n"
+
+
+def _seq(sequence) -> str:
+    return ",".join(map(str, sequence))

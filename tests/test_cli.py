@@ -64,6 +64,18 @@ class TestAnalyze:
         assert main(["analyze", str(dist)]) == 2
         assert "masses[1]" in capsys.readouterr().err
 
+    def test_boolean_mass_exits_2(self, tmp_path, capsys):
+        dist = write_json(tmp_path / "d.json", {"masses": [True], "channels": [2]})
+        assert main(["analyze", str(dist)]) == 2
+        assert "masses[0]" in capsys.readouterr().err
+
+    def test_masses_below_float_range(self, tmp_path, capsys):
+        """Geometric masses 1/2, ..., 1/2**1199, 1/2**1199: the smallest underflow a float."""
+        masses = [f"1/{2**j}" for j in range(1, 1200)]
+        dist = write_json(tmp_path / "d.json", {"masses": masses + [masses[-1]], "channels": [2]})
+        assert main(["analyze", str(dist)]) == 0
+        assert "entropy: 1.3862943611 nats" in capsys.readouterr().out
+
 
 def build_hashes(tmp_path: Path) -> str:
     """sha256 of each build output file, one TSV line per channel list, method and file."""

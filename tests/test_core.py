@@ -43,6 +43,20 @@ class TestDistribution:
         with pytest.raises(ValueError, match=r"masses\[0\]"):
             Distribution.from_masses(["-0.5", "1.5"])
 
+    def test_rejects_booleans(self):
+        with pytest.raises(ValueError, match=r"masses\[0\]"):
+            Distribution.from_masses([True])
+        with pytest.raises(ValueError, match=r"masses\[1\]"):
+            Distribution.from_masses([Fraction(1, 2), False, Fraction(1, 2)])
+
+    def test_integer_weights_over_common_denominator(self):
+        d = Distribution.from_masses(["1/3", "1/6", "1/4", "1/4"])
+        assert d.scale == 12
+        assert d.weights == (2, 3, 3, 4)
+        assert Distribution.from_masses([1]).weights == (1,)
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            Distribution((Fraction(1, 3), Fraction(1, 3)), (0, 1))
+
 
 class TestChannelProfile:
     def test_canonicalizes_with_user_order(self):
@@ -69,6 +83,12 @@ class TestEntropy:
         d5 = Distribution.from_masses(["0.13", "0.199", "0.212", "0.217", "0.242"])
         assert entropy(d5) == pytest.approx(1.5902511945, abs=1e-9)
         assert entropy(d5.masses) == entropy(d5)
+
+    def test_masses_below_float_range_are_skipped(self):
+        masses = [Fraction(1, 2**j) for j in range(1, 1200)]
+        d = Distribution.from_masses(masses + [masses[-1]])
+        assert float(d.masses[0]) == 0.0
+        assert entropy(d) == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_permutation_invariant_and_uniform_max(self):
         rng = make_rng("entropy")

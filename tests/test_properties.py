@@ -1,0 +1,56 @@
+"""Property tests over random rational sources and channel lists.
+
+Examples are derandomized, so every run checks the same inputs.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mchuff import (
+    NATS_EPS,
+    ChannelProfile,
+    Distribution,
+    entropy,
+    huffman_expected_length,
+    optimal_search,
+    suboptimal_build,
+)
+
+from helpers import GOLDEN_SEARCH_CHANNELS
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+# each mass is a random rational share; normalizing makes the denominators differ
+shares = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
+sources = st.lists(shares, min_size=1, max_size=10).map(
+    lambda xs: Distribution.from_masses([x / sum(xs) for x in xs])
+)
+profiles = st.sampled_from(GOLDEN_SEARCH_CHANNELS).map(ChannelProfile.from_sizes)
+
+
+@PROPERTY_SETTINGS
+@given(sources)
+def test_weights_are_the_masses_over_scale(dist):
+    assert sum(dist.weights) == dist.scale
+    assert all(Fraction(w, dist.scale) == p for w, p in zip(dist.weights, dist.masses))
+
+
+@PROPERTY_SETTINGS
+@given(sources, profiles)
+def test_optimal_length_within_entropy_bounds(dist, profile):
+    h = entropy(dist)
+    length = optimal_search(dist, profile).expected_length
+    assert h - NATS_EPS <= length < h + math.log(profile.sizes[0])
+
+
+@PROPERTY_SETTINGS
+@given(sources, profiles)
+def test_suboptimal_between_optimal_and_single_channel(dist, profile):
+    optimal = optimal_search(dist, profile).expected_length
+    suboptimal = suboptimal_build(dist, profile).expected_length
+    single = min(huffman_expected_length(dist.masses, q) for q in profile.sizes)
+    assert optimal <= suboptimal + NATS_EPS
+    assert suboptimal <= single + NATS_EPS

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +22,16 @@ from mchuff import (
     replay_sequence,
 )
 
-from helpers import PROFILES, brute_force_oracle, make_rng, random_distribution
+from helpers import (
+    PROFILES,
+    brute_force_oracle,
+    make_rng,
+    random_distribution,
+    search_results_tsv,
+)
 
 PROFILE_23 = ChannelProfile.from_sizes((2, 3))
+SEARCH_GOLDEN = Path(__file__).parent / "golden" / "search_results.tsv"
 
 
 class TestEnumerateMergeSequences:
@@ -162,6 +170,11 @@ def _nodes_with_dummies(root):
     for child in root.children:
         out.extend(_nodes_with_dummies(child))
     return out
+
+
+def test_search_results_match_golden():
+    """Sequences, length bits, work counts and trace tables are pinned (tests/golden/search_results.tsv)."""
+    assert search_results_tsv() == SEARCH_GOLDEN.read_text()
 
 
 class TestReplaySequence:
