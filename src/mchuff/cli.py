@@ -13,7 +13,8 @@ Channels appear in the caller's order everywhere; command output labels
 them 1-based. Symbol indices refer to masses sorted nondecreasing (the
 ``input_index`` field of a codebook maps them back to the input file).
 Exit codes: 0 ok, 2 bad input (including files that cannot be read or
-written), 3 corrupt streams, 4 truncated streams.
+written, and inputs whose trees or merge sequences nest too deeply for
+Python's recursion limit), 3 corrupt streams, 4 truncated streams.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import tables
@@ -98,6 +98,9 @@ def _load_codebook(path: Path, data: dict) -> Codebook:
         raise CliError(f'{path}: "channels" must be an array of integers >= 2')
     if not isinstance(words, list) or not words:
         raise CliError(f'{path}: "words" must be a non-empty array')
+    for j, word in enumerate(words):
+        if not isinstance(word, list):
+            raise CliError(f"{path}: words[{j}]: must be an array of per-channel digit strings")
     try:
         return Codebook(
             words=tuple(tuple(str(c) for c in word) for word in words),
@@ -120,7 +123,7 @@ def cmd_analyze(args) -> int:
     )
     for user, q in enumerate(profile.user_sizes):
         code = build_single_huffman(dist, q)
-        real_kraft = sum(Fraction(1, q**l) for l in code.lengths)
+        real_kraft = kraft_sum(((l,) for l in code.lengths), (q,))
         print(
             f"channel {user + 1} (q={q}): huffman length {code.expected_length:.10f} nats, "
             f"kraft sum {real_kraft}, dummies {dummy_count(dist.m, q)}"
@@ -341,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DegenerateCodeError, OSError, UnicodeDecodeError) as exc:
+    except (CliError, DegenerateCodeError, OSError, RecursionError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TruncationError as exc:

@@ -1,13 +1,12 @@
 """Exact-arithmetic domain types and information measures.
 
-Probability masses are exact rationals. A distribution also carries them
-as integer weights over one common denominator, ``Distribution.scale``;
-the merge-sequence searches add, compare and hash those integers, which
-is exact and much cheaper than rational arithmetic. Floating point enters
+Probability masses are parsed as exact rationals and then carried as
+integer weights over one common denominator, ``Distribution.scale``. The
+merge-sequence searches, the replay of a sequence into a tree, the tree
+analyses and the Kraft sums add, compare and hash integers, which is
+exact and much cheaper than rational arithmetic. Floating point enters
 only through logarithms and the divisions ``w / scale`` that feed them,
-which round exactly as ``float(Fraction(w, scale))`` does. This keeps
-Kraft sums exactly comparable against 1 and makes multiset memo keys
-deterministic.
+which round exactly as ``float(Fraction(w, scale))`` does.
 """
 
 from __future__ import annotations
@@ -176,19 +175,17 @@ def description_length(lengths: Sequence[int], profile) -> float:
 
 
 def kraft_sum(length_tuples: Iterable[Sequence[int]], profile) -> Fraction:
-    """Exact value of sum over codewords of prod_i q_i^(-l_i)."""
+    """Exact value of sum over codewords of prod_i q_i^(-l_i), added over prod_i q_i^(max l_i)."""
     sizes = as_sizes(profile)
-    total = Fraction(0)
-    for j, lt in enumerate(length_tuples):
+    tuples = list(length_tuples)
+    for j, lt in enumerate(tuples):
         if len(lt) != len(sizes):
             raise ValueError(f"length tuple {j} has {len(lt)} components for {len(sizes)} channels")
-        term = Fraction(1)
-        for l, q in zip(lt, sizes):
-            if l < 0:
-                raise ValueError(f"length tuple {j} has a negative component")
-            term /= Fraction(q) ** l
-        total += term
-    return total
+        if any(l < 0 for l in lt):
+            raise ValueError(f"length tuple {j} has a negative component")
+    longest = [max(column) for column in zip(*tuples)]
+    total = sum(math.prod(q ** (top - l) for l, q, top in zip(lt, sizes, longest)) for lt in tuples)
+    return Fraction(total, math.prod(q**top for q, top in zip(sizes, longest)))
 
 
 def dummy_bound(profile) -> int:

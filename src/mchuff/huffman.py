@@ -89,7 +89,7 @@ def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
             dummy_lengths.append(len(path))
         else:
             stack.extend((child, path + (digit,)) for digit, child in enumerate(node.children))
-    expected = sum(float(p) * l for p, l in zip(dist.masses, lengths)) * math.log(q)
+    expected = sum(w / dist.scale * l for w, l in zip(dist.weights, lengths)) * math.log(q)
     merge_ks = tuple(step.k for step in steps)
     return SingleChannelCode(
         q, tuple(lengths), tuple(codewords), expected, tuple(dummy_lengths), merge_ks

@@ -7,8 +7,8 @@ rounds must fill a channel exactly, which confines all dummies to the
 deepest node. Memoizing subproblems on the exact reduced multiset makes
 the exponentially many sequences collapse onto shared work. The multiset
 is held as the integer weights of ``Distribution.weights``, all over the
-one denominator ``Distribution.scale``, so memo keys are tuples of ints
-and merges are int sums; a cost is ``merged / scale * ln q``.
+one denominator ``Distribution.scale``: memo keys are int tuples, merges
+and replays into trees are int sums, and a cost is ``merged / scale * ln q``.
 
 The search is pure and single-threaded; the memo table is an ordinary
 dict whose values are idempotent, so concurrent evaluation would only
@@ -22,7 +22,6 @@ import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import ChannelProfile, Distribution, NATS_EPS
 from .tree import DummyLeaf, Internal, Leaf, Node
@@ -33,13 +32,12 @@ class MergeStep:
     """One round: ``k`` real masses merged under channel ``class_index``.
 
     ``dummies`` is the number of padding slots used (possible only in the
-    first round); ``merged_mass`` is the exact sum of the merged masses.
+    first round). ``replay_sequence`` makes steps from integer weights.
     """
 
     k: int
     class_index: int
     dummies: int
-    merged_mass: Fraction
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def replay_sequence(
         if dist.m != 1:
             raise ValueError("an empty merge sequence only fits a single-mass distribution")
         return Leaf(0), ()
-    heap: list[tuple[Fraction, int, Node]] = [(p, j, Leaf(j)) for j, p in enumerate(dist.masses)]
+    heap: list[tuple[int, int, Node]] = [(x, j, Leaf(j)) for j, x in enumerate(dist.weights)]
     heapq.heapify(heap)
     counter = dist.m
     steps: list[MergeStep] = []
@@ -205,11 +203,11 @@ def replay_sequence(
             if t > 0 and w:
                 raise ValueError(f"step {t}: only the first round may use dummy slots")
         picked = [heapq.heappop(heap) for _ in range(k)]
-        merged = sum((p for p, _, _ in picked), Fraction(0))
+        merged = sum(weight for weight, _, _ in picked)
         children = tuple(node for _, _, node in picked) + tuple(DummyLeaf() for _ in range(w))
         heapq.heappush(heap, (merged, counter, Internal(ci, children)))
         counter += 1
-        steps.append(MergeStep(k=k, class_index=ci, dummies=w, merged_mass=merged))
+        steps.append(MergeStep(k=k, class_index=ci, dummies=w))
     if len(heap) != 1:
         raise ValueError("merge sequence does not reduce the masses to one")
     return heap[0][2], tuple(steps)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import digits
 from .core import Distribution, as_sizes, entropy
@@ -67,14 +66,6 @@ class Codebook:
         )
 
 
-def _has_real(node: Node) -> bool:
-    if isinstance(node, Leaf):
-        return True
-    if isinstance(node, Internal):
-        return any(_has_real(c) for c in node.children)
-    return False
-
-
 def _leaf_symbols(node: Node) -> list[int]:
     if isinstance(node, Leaf):
         return [node.symbol]
@@ -86,18 +77,14 @@ def _leaf_symbols(node: Node) -> list[int]:
     return []
 
 
-def _check_symbols(root: Node, m: int) -> None:
-    if sorted(_leaf_symbols(root)) != list(range(m)):
-        raise ValueError("tree leaves do not match the distribution's symbols")
-
-
 def validate_tree(root: Node, profile, m: int) -> list[str]:
     """Check structural invariants; returns violations with node paths (empty list = valid)."""
     sizes = as_sizes(profile)
     violations: list[str] = []
     seen: dict[int, str] = {}
 
-    def walk(node: Node, path: str) -> None:
+    def walk(node: Node, path: str) -> bool:
+        """Record the subtree's violations (a node's first); return whether it holds a real leaf."""
         if isinstance(node, Leaf):
             if not 0 <= node.symbol < m:
                 violations.append(f"{path}: symbol {node.symbol} out of range 0..{m - 1}")
@@ -105,23 +92,27 @@ def validate_tree(root: Node, profile, m: int) -> list[str]:
                 violations.append(f"{path}: symbol {node.symbol} already placed at {seen[node.symbol]}")
             else:
                 seen[node.symbol] = path
-        elif isinstance(node, DummyLeaf):
-            pass
-        elif isinstance(node, Internal):
+            return True
+        if isinstance(node, DummyLeaf):
+            return False
+        if isinstance(node, Internal):
             if not 0 <= node.class_index < len(sizes):
                 violations.append(f"{path}: class {node.class_index} out of range for {len(sizes)} channels")
-                return
+                return bool(_leaf_symbols(node))
             q = sizes[node.class_index]
             if len(node.children) != q:
                 violations.append(
                     f"{path}: class {node.class_index} needs exactly {q} child slots, has {len(node.children)}"
                 )
-            if not any(_has_real(c) for c in node.children):
-                violations.append(f"{path}: internal node has no non-dummy descendant")
+            at = len(violations)
+            has_real = False
             for slot, child in enumerate(node.children):
-                walk(child, f"{path}.children[{slot}]")
-        else:
-            violations.append(f"{path}: unknown node type {type(node).__name__}")
+                has_real = walk(child, f"{path}.children[{slot}]") or has_real
+            if not has_real:
+                violations.insert(at, f"{path}: internal node has no non-dummy descendant")
+            return has_real
+        violations.append(f"{path}: unknown node type {type(node).__name__}")
+        return False
 
     walk(root, "root")
     if not violations:
@@ -161,6 +152,29 @@ def codebook_from_tree(root: Node, profile) -> Codebook:
     return Codebook(words=tuple(words[j] for j in range(m)), sizes=sizes)
 
 
+def _post_order(root: Node, dist: Distribution, visit, paths: bool = False) -> None:
+    """Call ``visit(path, weight, child weights)`` at each internal node, in post-order.
+
+    Weights are ints over ``dist.scale``; paths are built only if ``paths`` is set.
+    """
+    if sorted(_leaf_symbols(root)) != list(range(dist.m)):
+        raise ValueError("tree leaves do not match the distribution's symbols")
+
+    def walk(node: Node, path: str) -> int:
+        if isinstance(node, Leaf):
+            return dist.weights[node.symbol]
+        if isinstance(node, DummyLeaf):
+            return 0
+        child_weights = []
+        for i, c in enumerate(node.children):
+            child_weights.append(walk(c, f"{path}.children[{i}]" if paths else path))
+        s = sum(child_weights)
+        visit(path, s, child_weights)
+        return s
+
+    walk(root, "root")
+
+
 def expected_length(root: Node, dist: Distribution) -> float:
     """Expected codeword length in nats.
 
@@ -168,20 +182,13 @@ def expected_length(root: Node, dist: Distribution) -> float:
     the log of its branch count; bookkeeping-wise this equals the direct
     mass-weighted sum of codeword description lengths.
     """
-    _check_symbols(root, dist.m)
     total = 0.0
 
-    def mass(node: Node) -> Fraction:
+    def add(_: str, s: int, child_weights: list[int]) -> None:
         nonlocal total
-        if isinstance(node, Leaf):
-            return dist.masses[node.symbol]
-        if isinstance(node, DummyLeaf):
-            return Fraction(0)
-        s = sum((mass(c) for c in node.children), Fraction(0))
-        total += float(s) * math.log(len(node.children))
-        return s
+        total += s / dist.scale * math.log(len(child_weights))
 
-    mass(root)
+    _post_order(root, dist, add)
     return total
 
 
@@ -211,33 +218,25 @@ def local_redundancy(root: Node, dist: Distribution) -> RedundancyReport:
     entropies are cross-checked against the source entropy and the call
     refuses to return inconsistent numbers.
     """
-    _check_symbols(root, dist.m)
     records: list[NodeRedundancy] = []
     length_total = 0.0
     entropy_total = 0.0
 
-    def mass(node: Node, path: str) -> Fraction:
+    def record(path: str, s: int, child_weights: list[int]) -> None:
         nonlocal length_total, entropy_total
-        if isinstance(node, Leaf):
-            return dist.masses[node.symbol]
-        if isinstance(node, DummyLeaf):
-            return Fraction(0)
-        child_masses = [mass(c, f"{path}.children[{i}]") for i, c in enumerate(node.children)]
-        s = sum(child_masses, Fraction(0))
-        sf = float(s)
-        alpha = len(node.children)
+        sf = s / dist.scale
+        alpha = len(child_weights)
         h = 0.0
-        for cm in child_masses:
-            if cm > 0:
-                ratio = cm / s
-                h -= float(ratio) * math.log(ratio)
+        for cw in child_weights:
+            if cw > 0:
+                ratio = cw / s
+                h -= ratio * math.log(ratio)
         r = sf * (math.log(alpha) - h)
         records.append(NodeRedundancy(path, sf, h, alpha, r))
         length_total += sf * math.log(alpha)
         entropy_total += sf * h
-        return s
 
-    mass(root, "root")
+    _post_order(root, dist, record, paths=True)
     h_source = entropy(dist)
     if abs(entropy_total - h_source) > 1e-9:
         raise ArithmeticError(

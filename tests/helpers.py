@@ -19,7 +19,12 @@ from mchuff import (
     Distribution,
     DummyLeaf,
     Internal,
+    build_single_huffman,
+    codebook_from_tree,
     dummy_bound,
+    expected_length,
+    kraft_sum,
+    local_redundancy,
     optimal_search,
     pruned_search,
     replay_sequence,
@@ -67,6 +72,21 @@ def random_sequence(rng: random.Random, m: int, profile: ChannelProfile) -> tupl
 def random_tree(rng: random.Random, dist: Distribution, profile: ChannelProfile):
     """A valid decoding tree built from a random admissible merge sequence."""
     return replay_sequence(dist, profile, random_sequence(rng, dist.m, profile))
+
+
+def dummy_length_tuples(root, n: int) -> list[tuple[int, ...]]:
+    """Per-channel depths of the padding leaves, in the form ``kraft_sum`` takes."""
+    out = []
+    stack = [(root, (0,) * n)]
+    while stack:
+        node, depths = stack.pop()
+        if isinstance(node, DummyLeaf):
+            out.append(depths)
+        elif isinstance(node, Internal):
+            i = node.class_index
+            below = depths[:i] + (depths[i] + 1,) + depths[i + 1:]
+            stack.extend((child, below) for child in node.children)
+    return out
 
 
 def count_dummies(root) -> int:
@@ -190,3 +210,53 @@ def search_results_tsv() -> str:
 
 def _seq(sequence) -> str:
     return ",".join(map(str, sequence))
+
+
+#: Channel lists of the pinned tree analyses (tests/golden/tree_results.tsv).
+GOLDEN_TREE_CHANNELS = ((2,), (2, 3), (3, 2), (2, 3, 5), (2, 40))
+
+
+def tree_results_tsv() -> str:
+    """Tree analyses of trees replayed from random sequences, one row per instance.
+
+    Instances are drawn from seed "0" whatever MCHUFF_SEED says. For every
+    channel list and mass kind ("counts": weights 1..4; "fine": weights
+    1..10^6) there are 6 sources with 2 <= m <= 64, each replayed from a
+    random admissible merge sequence. A row holds ``expected_length`` as a
+    float hex string; the sha256 of ``local_redundancy``'s node records
+    (path and hex values) and its three totals in hex; the codebook's
+    exact Kraft sum; and, per channel in the caller's order,
+    ``build_single_huffman``'s lengths and expected length in hex. Record
+    the file with ``PYTHONPATH=src:tests python3 -c "import helpers, sys;
+    sys.stdout.write(helpers.tree_results_tsv())"``.
+    """
+    rng = make_rng("tree-golden", seed="0")
+    rows = ["channels\tm\tsequence\texpected_length\tnodes_sha256\ttotals\tkraft_sum\thuffman"]
+    for sizes in GOLDEN_TREE_CHANNELS:
+        profile = ChannelProfile.from_sizes(sizes)
+        for top in (4, 10**6):
+            for _ in range(6):
+                weights = [rng.randint(1, top) for _ in range(rng.randint(2, 64))]
+                dist = Distribution.from_masses([Fraction(w, sum(weights)) for w in weights])
+                sequence = random_sequence(rng, dist.m, profile)
+                root, _ = replay_sequence(dist, profile, sequence)
+                report = local_redundancy(root, dist)
+                records = "".join(
+                    f"{n.path} {n.reaching_probability.hex()} {n.branching_entropy.hex()} "
+                    f"{n.alphabet_size} {n.local_redundancy.hex()}\n"
+                    for n in report.nodes
+                )
+                totals = (report.expected_length, report.entropy, report.total_redundancy)
+                kraft = kraft_sum(codebook_from_tree(root, profile).length_tuples(), profile)
+                codes = [build_single_huffman(dist, q) for q in profile.user_sizes]
+                rows.append("\t".join((
+                    _seq(sizes),
+                    str(dist.m),
+                    _seq(sequence),
+                    expected_length(root, dist).hex(),
+                    hashlib.sha256(records.encode()).hexdigest(),
+                    ",".join(t.hex() for t in totals),
+                    str(kraft),
+                    " ".join(f"{_seq(c.lengths)}:{c.expected_length.hex()}" for c in codes),
+                )))
+    return "\n".join(rows) + "\n"

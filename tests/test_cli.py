@@ -19,6 +19,8 @@ PADDED_SIX = ["0.05", "0.1", "0.12", "0.18", "0.25", "0.3"]
 BUILD_CHANNELS = ([3, 2], [2, 3, 5])
 BUILD_FILES = ("tree.json", "codebook.json", "stats.json")
 EXAMPLE_THREE = {"channels": [2, 2, 2], "words": [["0", "0", ""], ["1", "", "0"], ["", "1", "1"]]}
+# 1/2, ..., 1/2**1199, 1/2**1199: the smallest masses underflow a float, the Huffman tree is 1199 deep
+GEOMETRIC_1200 = [f"1/{2**j}" for j in range(1, 1200)] + [f"1/{2**1199}"]
 
 
 def write_json(path: Path, obj) -> Path:
@@ -70,9 +72,7 @@ class TestAnalyze:
         assert "masses[0]" in capsys.readouterr().err
 
     def test_masses_below_float_range(self, tmp_path, capsys):
-        """Geometric masses 1/2, ..., 1/2**1199, 1/2**1199: the smallest underflow a float."""
-        masses = [f"1/{2**j}" for j in range(1, 1200)]
-        dist = write_json(tmp_path / "d.json", {"masses": masses + [masses[-1]], "channels": [2]})
+        dist = write_json(tmp_path / "d.json", {"masses": GEOMETRIC_1200, "channels": [2]})
         assert main(["analyze", str(dist)]) == 0
         assert "entropy: 1.3862943611 nats" in capsys.readouterr().out
 
@@ -161,6 +161,27 @@ class TestBuild:
         assert "error:" in capsys.readouterr().err
 
 
+class TestTooDeep:
+    """Inputs whose trees or sequences nest deeper than the recursive passes reach."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "{dist}", "--method", "single=1", "--out-dir", "{out}"],
+            ["build", "{dist}", "--method", "optimal", "--out-dir", "{out}"],
+            ["enumerate", "--m", "1200", "--channels", "2"],
+        ],
+        ids=["build-single", "build-optimal", "enumerate"],
+    )
+    def test_exits_2_without_traceback(self, tmp_path, capsys, argv):
+        dist = write_json(tmp_path / "d.json", {"masses": GEOMETRIC_1200, "channels": [2]})
+        argv = [a.format(dist=dist, out=tmp_path / "out") for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestTables:
     def test_matches_golden(self, capsys):
         assert main(["tables"]) == 0
@@ -242,6 +263,12 @@ class TestCodecCommands:
         ) == 0
         assert main(["decode", str(book), str(tmp_path / "streams.json")]) == 2
         assert "not tree-decodable" in capsys.readouterr().err
+
+    def test_words_must_be_arrays(self, tmp_path, capsys):
+        book = write_json(tmp_path / "cb.json", {"channels": [2, 2], "words": ["01", "10"]})
+        (tmp_path / "syms.txt").write_text("0 1\n")
+        assert main(["encode", str(book), str(tmp_path / "syms.txt")]) == 2
+        assert "words[0]" in capsys.readouterr().err
 
     def test_missing_symbols_file_exits_2(self, tmp_path, capsys):
         out = self.build(tmp_path)

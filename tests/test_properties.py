@@ -13,13 +13,15 @@ from mchuff import (
     NATS_EPS,
     ChannelProfile,
     Distribution,
+    codebook_from_tree,
     entropy,
     huffman_expected_length,
+    kraft_sum,
     optimal_search,
     suboptimal_build,
 )
 
-from helpers import GOLDEN_SEARCH_CHANNELS
+from helpers import GOLDEN_SEARCH_CHANNELS, dummy_length_tuples, random_tree
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -54,3 +56,11 @@ def test_suboptimal_between_optimal_and_single_channel(dist, profile):
     single = min(huffman_expected_length(dist.masses, q) for q in profile.sizes)
     assert optimal <= suboptimal + NATS_EPS
     assert suboptimal <= single + NATS_EPS
+
+
+@PROPERTY_SETTINGS
+@given(sources.filter(lambda dist: dist.m > 1), profiles, st.randoms(use_true_random=False))
+def test_kraft_sum_with_dummies_is_one(dist, profile, rng):
+    root, _ = random_tree(rng, dist, profile)
+    lengths = codebook_from_tree(root, profile).length_tuples()
+    assert kraft_sum(lengths + tuple(dummy_length_tuples(root, profile.n)), profile) == 1

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +13,15 @@ from mchuff import (
     Leaf,
     PrefixFreeViolation,
     codebook_from_tree,
+    construct,
+    decode,
     description_length,
+    encode,
     entropy,
     expected_length,
     kraft_sum,
     local_redundancy,
+    map_classes,
     necessary_tree_check,
     prefix_free,
     replay_sequence,
@@ -25,7 +30,16 @@ from mchuff import (
     tree_to_obj,
     validate_tree,
 )
-from helpers import PROFILES, count_dummies, make_rng, random_distribution, random_tree
+from helpers import (
+    PROFILES,
+    count_dummies,
+    make_rng,
+    random_distribution,
+    random_tree,
+    tree_results_tsv,
+)
+
+TREE_GOLDEN = Path(__file__).parent / "golden" / "tree_results.tsv"
 
 PROFILE_23 = ChannelProfile.from_sizes((2, 3))
 
@@ -253,3 +267,28 @@ class TestSerialization:
             tree_from_obj({"class": 0, "children": []})
         with pytest.raises(ValueError):
             tree_from_obj([1, 2])
+
+
+def test_tree_results_match_golden():
+    """Tree analyses, Kraft sums and Huffman codes are pinned (tests/golden/tree_results.tsv)."""
+    assert tree_results_tsv() == TREE_GOLDEN.read_text()
+
+
+def test_deep_tree_passes():
+    """Geometric masses 1/2, ..., 1/2**449, 1/2**449 give a binary tree 449 levels deep.
+
+    Codebooks are compared rather than trees, because dataclass ``==``
+    recurses through the whole tree.
+    """
+    masses = [Fraction(1, 2**j) for j in range(1, 450)]
+    dist = Distribution.from_masses(masses + masses[-1:])
+    profile = ChannelProfile.from_sizes((3, 2))
+    result = construct(dist, profile, "single", channel=1)
+    assert validate_tree(result.tree, profile, dist.m) == []
+    book = codebook_from_tree(result.tree, profile)
+    assert max(len(word[0]) for word in book.words) == 449
+    assert local_redundancy(result.tree, dist).expected_length == result.expected_length
+    user_root = tree_from_obj(tree_to_obj(map_classes(result.tree, profile.user_order)))
+    assert codebook_from_tree(map_classes(user_root, profile.canonical_index), profile) == book
+    symbols = list(range(dist.m)) * 2
+    assert decode(result.tree, encode(book, symbols)) == symbols
