@@ -13,8 +13,9 @@ Channels appear in the caller's order everywhere; command output labels
 them 1-based. Symbol indices refer to masses sorted nondecreasing (the
 ``input_index`` field of a codebook maps them back to the input file).
 Exit codes: 0 ok, 2 bad input (including files that cannot be read or
-written, and inputs whose trees or merge sequences nest too deeply for
-Python's recursion limit), 3 corrupt streams, 4 truncated streams.
+written, codebook words whose components are not digit strings, and
+inputs whose trees or searches nest too deeply for Python's recursion
+limit), 3 corrupt streams, 4 truncated streams.
 """
 
 from __future__ import annotations
@@ -99,13 +100,10 @@ def _load_codebook(path: Path, data: dict) -> Codebook:
     if not isinstance(words, list) or not words:
         raise CliError(f'{path}: "words" must be a non-empty array')
     for j, word in enumerate(words):
-        if not isinstance(word, list):
+        if not isinstance(word, list) or not all(isinstance(c, str) for c in word):
             raise CliError(f"{path}: words[{j}]: must be an array of per-channel digit strings")
     try:
-        return Codebook(
-            words=tuple(tuple(str(c) for c in word) for word in words),
-            sizes=tuple(channels),
-        )
+        return Codebook(words=tuple(tuple(word) for word in words), sizes=tuple(channels))
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 

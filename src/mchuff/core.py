@@ -1,19 +1,20 @@
 """Exact-arithmetic domain types and information measures.
 
-Probability masses are parsed as exact rationals and then carried as
-integer weights over one common denominator, ``Distribution.scale``. The
-merge-sequence searches, the replay of a sequence into a tree, the tree
+Probability masses are parsed as exact rationals and then held only as
+integer weights over one common denominator, ``Distribution.scale``.
+Parsing, the searches, the replay of a sequence into a tree, the tree
 analyses and the Kraft sums add, compare and hash integers, which is
 exact and much cheaper than rational arithmetic. Floating point enters
 only through logarithms and the divisions ``w / scale`` that feed them,
-which round exactly as ``float(Fraction(w, scale))`` does.
+which round exactly as ``float(Fraction(w, scale))`` does, and float
+totals add left to right (``ordered_sum``) on every Python version.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 #: Expected lengths and entropies (in nats) closer than this count as ties.
@@ -32,41 +33,42 @@ def as_sizes(profile_or_sizes) -> tuple[int, ...]:
 class Distribution:
     """Multiset of positive probability masses, sorted nondecreasing.
 
+    Mass ``j`` is ``weights[j] / scale``: the weights are positive integers
+    summing to ``scale``, in lowest terms (no common factor with ``scale``),
+    so ``scale`` is the least common multiple of the mass denominators.
     ``input_order[j]`` is the position mass ``j`` held in the sequence the
     distribution was built from, letting callers report results under their
     own symbol numbering. ``rescaled`` is set when the input total missed 1
     by a tiny residue and the last input mass absorbed it.
-
-    ``scale`` is the least common multiple of the mass denominators and
-    ``weights[j] == masses[j] * scale`` are the masses as integers; both
-    are derived, not passed in.
     """
 
-    masses: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    scale: int
     input_order: tuple[int, ...]
     rescaled: bool = False
-    scale: int = field(init=False, repr=False, compare=False)
-    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.masses:
+        if not self.weights:
             raise ValueError("a distribution needs at least one mass")
-        if any(p <= 0 for p in self.masses):
+        if any(w <= 0 for w in self.weights):
             raise ValueError("all masses must be positive")
-        if any(a > b for a, b in zip(self.masses, self.masses[1:])):
+        if any(a > b for a, b in zip(self.weights, self.weights[1:])):
             raise ValueError("masses must be nondecreasing")
-        scale = math.lcm(*(p.denominator for p in self.masses))
-        weights = tuple(p.numerator * (scale // p.denominator) for p in self.masses)
-        if sum(weights) != scale:
+        if sum(self.weights) != self.scale:
             raise ValueError("masses must sum to exactly 1")
-        if sorted(self.input_order) != list(range(len(self.masses))):
+        if math.gcd(self.scale, *self.weights) != 1:
+            raise ValueError("weights and scale must be in lowest terms")
+        if sorted(self.input_order) != list(range(self.m)):
             raise ValueError("input_order must be a permutation of the mass indices")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def m(self) -> int:
-        return len(self.masses)
+        return len(self.weights)
+
+    @property
+    def masses(self) -> tuple[Fraction, ...]:
+        """The masses as exact rationals, ``weights[j] / scale``."""
+        return tuple(Fraction(w, self.scale) for w in self.weights)
 
     @classmethod
     def from_masses(cls, values: Iterable[Fraction | str | int | float]) -> "Distribution":
@@ -89,19 +91,25 @@ class Distribution:
             raw.append(f)
         if not raw:
             raise ValueError("a distribution needs at least one mass")
-        total = sum(raw)
+        scale = math.lcm(*(f.denominator for f in raw))
+        weights = [f.numerator * (scale // f.denominator) for f in raw]
+        total = sum(weights)
         rescaled = False
-        if total != 1:
-            if abs(total - 1) > SUM_TOLERANCE:
+        if total != scale:
+            if abs(total - scale) * SUM_TOLERANCE.denominator > scale * SUM_TOLERANCE.numerator:
                 raise ValueError(
-                    f"masses sum to {total} ~ {float(total)}, too far from 1 to rescale"
+                    f"masses sum to {Fraction(total, scale)} ~ {total / scale}, "
+                    "too far from 1 to rescale"
                 )
-            raw[-1] += 1 - total
-            if raw[-1] <= 0:
+            weights[-1] += scale - total
+            if weights[-1] <= 0:
                 raise ValueError("rescaling the total to 1 made the last mass non-positive")
+            g = math.gcd(scale, *weights)
+            scale //= g
+            weights = [w // g for w in weights]
             rescaled = True
-        order = sorted(range(len(raw)), key=lambda j: (raw[j], j))
-        return cls(tuple(raw[j] for j in order), tuple(order), rescaled)
+        order = sorted(range(len(weights)), key=lambda j: (weights[j], j))
+        return cls(tuple(weights[j] for j in order), scale, tuple(order), rescaled)
 
 
 @dataclass(frozen=True)
@@ -152,16 +160,24 @@ class ChannelProfile:
         return cls(tuple(raw[i] for i in order), tuple(order))
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum: the builtin ``sum`` up to 3.11 (3.12 compensates rounding)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def entropy(dist) -> float:
     """Entropy in nats of a Distribution, or of a sequence of masses summing to 1.
 
     A mass whose float rounds to 0.0 (below about 2**-1075) would add
     exactly 0.0, so it is skipped rather than passed to ``log``.
     """
-    masses = getattr(dist, "masses", dist)
-    floats = (float(p) for p in masses)
+    if isinstance(dist, Distribution):
+        return entropy([w / dist.scale for w in dist.weights])
     # + 0.0 normalizes the -0.0 a deterministic single-mass source produces
-    return -sum(f * math.log(f) for f in floats if f) + 0.0
+    return -ordered_sum(f * math.log(f) for f in map(float, dist) if f) + 0.0
 
 
 def description_length(lengths: Sequence[int], profile) -> float:
@@ -171,7 +187,7 @@ def description_length(lengths: Sequence[int], profile) -> float:
         raise ValueError(f"length tuple has {len(lengths)} components for {len(sizes)} channels")
     if any(l < 0 for l in lengths):
         raise ValueError("codeword lengths cannot be negative")
-    return sum(l * math.log(q) for l, q in zip(lengths, sizes))
+    return ordered_sum(l * math.log(q) for l, q in zip(lengths, sizes))
 
 
 def kraft_sum(length_tuples: Iterable[Sequence[int]], profile) -> Fraction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ChannelProfile, Distribution, NATS_EPS, entropy
+from .core import ChannelProfile, Distribution, NATS_EPS, entropy, ordered_sum
 from .huffman import huffman_merge_sequence, huffman_merged_total
 from .search import (
     SearchResult,
@@ -43,11 +43,11 @@ METRICS = (
 class MergeState:
     """Partial construction: merges applied so far and the reduced multiset.
 
-    ``masses`` are integer weights; mass ``c`` is the probability
-    ``c / scale``, with ``scale`` the source's ``Distribution.scale``.
+    ``weights`` are the remaining masses as integers; mass ``c`` is the
+    probability ``c / scale``, with ``scale`` the source's ``Distribution.scale``.
     """
 
-    masses: tuple[int, ...]
+    weights: tuple[int, ...]
     scale: int
     sequence: tuple[int, ...]
     accumulated_length: float
@@ -60,21 +60,23 @@ def initial_state(dist: Distribution) -> MergeState:
 
 def apply_merge(state: MergeState, k: int, profile: ChannelProfile) -> MergeState:
     """Merge the k smallest masses under the channel the search rules assign."""
-    if not 2 <= k <= len(state.masses):
-        raise ValueError(f"cannot merge {k} of {len(state.masses)} masses")
+    if not 2 <= k <= len(state.weights):
+        raise ValueError(f"cannot merge {k} of {len(state.weights)} masses")
     ci, _ = step_class(profile, k, first=not state.sequence)
     q = profile.sizes[ci]
     scale = state.scale
-    picked = state.masses[:k]
+    picked = state.weights[:k]
     merged = sum(picked)
     s = merged / scale
     added_length = s * math.log(q)
     # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children
-    added_red = added_length - s * math.log(s) + sum(
+    added_red = added_length - s * math.log(s) + ordered_sum(
         c / scale * math.log(c / scale) for c in picked
     )
+    rest = list(state.weights)
+    merge_smallest(rest, k, merged)
     return MergeState(
-        merge_smallest(state.masses, k, merged),
+        tuple(rest),
         scale,
         state.sequence + (k,),
         state.accumulated_length + added_length,
@@ -89,12 +91,12 @@ def metric_value(state: MergeState, metric: str, profile: ChannelProfile) -> flo
     if metric == "expected_length":
         return state.accumulated_length
     if metric == "entropy":
-        return entropy([c / state.scale for c in state.masses])
+        return entropy([c / state.scale for c in state.weights])
     if metric == "expected_plus_entropy":
-        return state.accumulated_length + entropy([c / state.scale for c in state.masses])
+        return state.accumulated_length + entropy([c / state.scale for c in state.weights])
     if metric == "huffman_completion":
         best = min(
-            huffman_merged_total(state.masses, q) / state.scale * math.log(q)
+            huffman_merged_total(state.weights, q) / state.scale * math.log(q)
             for q in set(profile.sizes)
         )
         return state.accumulated_length + best

@@ -1,8 +1,11 @@
-"""Single-channel q-ary Huffman codes and their multi-channel embedding."""
+"""Single-channel q-ary Huffman codes and their multi-channel embedding.
+
+Codes are replayed from the q-ary merge sequence, and lengths alone merge
+through ``search.merge_smallest`` without building a tree.
+"""
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -10,8 +13,8 @@ from fractions import Fraction
 from typing import TypeVar
 
 from . import digits
-from .core import ChannelProfile, Distribution
-from .search import replay_sequence
+from .core import ChannelProfile, Distribution, ordered_sum
+from .search import merge_smallest, replay_sequence
 from .tree import Codebook, DummyLeaf, Leaf
 
 Mass = TypeVar("Mass", int, Fraction)
@@ -72,8 +75,6 @@ def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
     if q < 2:
         raise ValueError("q must be at least 2")
     m = dist.m
-    if m == 1:
-        return SingleChannelCode(q, (0,), ("",), 0.0, (), ())
     root, steps = replay_sequence(dist, ChannelProfile((q,), (0,)), huffman_merge_sequence(m, q))
 
     lengths = [0] * m
@@ -89,7 +90,7 @@ def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
             dummy_lengths.append(len(path))
         else:
             stack.extend((child, path + (digit,)) for digit, child in enumerate(node.children))
-    expected = sum(w / dist.scale * l for w, l in zip(dist.weights, lengths)) * math.log(q)
+    expected = ordered_sum(w / dist.scale * l for w, l in zip(dist.weights, lengths)) * math.log(q)
     merge_ks = tuple(step.k for step in steps)
     return SingleChannelCode(
         q, tuple(lengths), tuple(codewords), expected, tuple(dummy_lengths), merge_ks
@@ -103,16 +104,12 @@ def huffman_merged_total(masses: Sequence[Mass], q: int) -> Mass | int:
     for exact masses: ``Fraction`` probabilities, or integer weights over a
     common denominator (then the total is over that denominator too).
     """
-    m = len(masses)
-    if m == 1:
-        return 0
-    heap = [0] * dummy_count(m, q) + sorted(masses)
-    heapq.heapify(heap)
+    items = [0] * dummy_count(len(masses), q) + sorted(masses)
     total = 0
-    while len(heap) > 1:
-        s = sum(heapq.heappop(heap) for _ in range(q))
+    while len(items) > 1:
+        s = sum(items[:q])
         total += s
-        heapq.heappush(heap, s)
+        merge_smallest(items, q, s)
     return total
 
 

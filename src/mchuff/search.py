@@ -7,8 +7,9 @@ rounds must fill a channel exactly, which confines all dummies to the
 deepest node. Memoizing subproblems on the exact reduced multiset makes
 the exponentially many sequences collapse onto shared work. The multiset
 is held as the integer weights of ``Distribution.weights``, all over the
-one denominator ``Distribution.scale``: memo keys are int tuples, merges
-and replays into trees are int sums, and a cost is ``merged / scale * ln q``.
+one denominator ``Distribution.scale``: memo keys are int tuples, a cost
+is ``merged / scale * ln q``, and every merge in the package (searches,
+replays into trees, Huffman totals) goes through ``merge_smallest``.
 
 The search is pure and single-threaded; the memo table is an ordinary
 dict whose values are idempotent, so concurrent evaluation would only
@@ -18,7 +19,6 @@ need an insert-if-absent map to produce identical results.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -84,33 +84,29 @@ def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int
     """
     if m < 2:
         raise ValueError("need at least two masses to merge")
-    inner_ks = sorted(set(profile.sizes))
+    inner_ks = sorted(set(profile.sizes), reverse=True)
     out: list[tuple[int, ...]] = []
-
-    def extend(count: int, prefix: tuple[int, ...]) -> None:
+    # (masses left, prefix), pushed largest merge first so the smallest pops first
+    stack = [(m - k + 1, (k,)) for k in range(min(profile.sizes[-1], m), 1, -1)]
+    while stack:
+        count, prefix = stack.pop()
         if count == 1:
             out.append(prefix)
-            return
-        for k in inner_ks:
-            if k <= count:
-                extend(count - k + 1, prefix + (k,))
-
-    for k in range(2, min(profile.sizes[-1], m) + 1):
-        extend(m - k + 1, (k,))
+        else:
+            stack.extend((count - k + 1, prefix + (k,)) for k in inner_ks if k <= count)
     return out
 
 
-def merge_smallest(masses: tuple[int, ...], k: int, merged: int) -> tuple[int, ...]:
-    """The sorted multiset left after the ``k`` smallest masses merge into ``merged``.
+def merge_smallest(items: list, k: int, merged) -> None:
+    """Replace the ``k`` smallest entries of the sorted list ``items`` by ``merged``, in place.
 
-    Masses are integer weights over a common denominator (``Distribution.
-    scale``). ``merged`` is their exact sum, which callers have already
-    computed. The merged mass is inserted after any equal masses, so ties
-    keep their order.
+    The generalized Huffman step: ``merged`` stands for the first ``k``
+    entries (their exact sum, or a tuple led by it), which callers have
+    already computed. It is inserted after any equal entries, so ties keep
+    their order and the list stays sorted.
     """
-    rest = list(masses[k:])
-    bisect.insort(rest, merged)
-    return tuple(rest)
+    del items[:k]
+    bisect.insort(items, merged)
 
 
 def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
@@ -142,7 +138,9 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
             if k > len(masses):
                 break
             merged = sum(masses[:k])
-            sub, seq = inner(merge_smallest(masses, k, merged))
+            rest = list(masses)
+            merge_smallest(rest, k, merged)
+            sub, seq = inner(tuple(rest))
             if seq is None:
                 continue
             cand = sub + merged / scale * logs[k]
@@ -156,7 +154,9 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
     for k in range(2, min(profile.sizes[-1], dist.m) + 1):
         ci, _ = step_class(profile, k, first=True)
         merged = sum(dist.weights[:k])
-        sub, seq = inner(merge_smallest(dist.weights, k, merged))
+        rest = list(dist.weights)
+        merge_smallest(rest, k, merged)
+        sub, seq = inner(tuple(rest))
         if seq is None:
             continue
         cand = sub + merged / scale * math.log(profile.sizes[ci])
@@ -179,18 +179,15 @@ def replay_sequence(
     ``classes`` optionally forces the channel per step (used to realize a
     single-channel code on a channel other than the smallest fitting one).
     Merged children keep their draw order, dummies fill the trailing slots.
+    Entries merge as ``(weight, order, node)`` with a unique ``order``, so
+    weight ties break by symbol, then production order, never by node.
     """
-    if not sequence:
-        if dist.m != 1:
-            raise ValueError("an empty merge sequence only fits a single-mass distribution")
-        return Leaf(0), ()
-    heap: list[tuple[int, int, Node]] = [(x, j, Leaf(j)) for j, x in enumerate(dist.weights)]
-    heapq.heapify(heap)
+    items: list[tuple[int, int, Node]] = [(x, j, Leaf(j)) for j, x in enumerate(dist.weights)]
     counter = dist.m
     steps: list[MergeStep] = []
     for t, k in enumerate(sequence):
-        if k < 2 or k > len(heap):
-            raise ValueError(f"step {t}: cannot merge {k} of {len(heap)} masses")
+        if k < 2 or k > len(items):
+            raise ValueError(f"step {t}: cannot merge {k} of {len(items)} masses")
         if classes is None:
             ci, w = step_class(profile, k, first=(t == 0))
         else:
@@ -202,12 +199,12 @@ def replay_sequence(
                 )
             if t > 0 and w:
                 raise ValueError(f"step {t}: only the first round may use dummy slots")
-        picked = [heapq.heappop(heap) for _ in range(k)]
+        picked = items[:k]
         merged = sum(weight for weight, _, _ in picked)
         children = tuple(node for _, _, node in picked) + tuple(DummyLeaf() for _ in range(w))
-        heapq.heappush(heap, (merged, counter, Internal(ci, children)))
+        merge_smallest(items, k, (merged, counter, Internal(ci, children)))
         counter += 1
         steps.append(MergeStep(k=k, class_index=ci, dummies=w))
-    if len(heap) != 1:
+    if len(items) != 1:
         raise ValueError("merge sequence does not reduce the masses to one")
-    return heap[0][2], tuple(steps)
+    return items[0][2], tuple(steps)

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import digits
-from .core import Distribution, as_sizes, entropy
+from .core import Distribution, as_sizes, entropy, ordered_sum
 
 
 @dataclass(frozen=True)
@@ -182,14 +182,9 @@ def expected_length(root: Node, dist: Distribution) -> float:
     the log of its branch count; bookkeeping-wise this equals the direct
     mass-weighted sum of codeword description lengths.
     """
-    total = 0.0
-
-    def add(_: str, s: int, child_weights: list[int]) -> None:
-        nonlocal total
-        total += s / dist.scale * math.log(len(child_weights))
-
-    _post_order(root, dist, add)
-    return total
+    terms: list[float] = []
+    _post_order(root, dist, lambda _, s, cws: terms.append(s / dist.scale * math.log(len(cws))))
+    return ordered_sum(terms)
 
 
 @dataclass(frozen=True)
@@ -219,31 +214,24 @@ def local_redundancy(root: Node, dist: Distribution) -> RedundancyReport:
     refuses to return inconsistent numbers.
     """
     records: list[NodeRedundancy] = []
-    length_total = 0.0
-    entropy_total = 0.0
 
     def record(path: str, s: int, child_weights: list[int]) -> None:
-        nonlocal length_total, entropy_total
         sf = s / dist.scale
         alpha = len(child_weights)
-        h = 0.0
-        for cw in child_weights:
-            if cw > 0:
-                ratio = cw / s
-                h -= ratio * math.log(ratio)
+        h = entropy([cw / s for cw in child_weights if cw])
         r = sf * (math.log(alpha) - h)
         records.append(NodeRedundancy(path, sf, h, alpha, r))
-        length_total += sf * math.log(alpha)
-        entropy_total += sf * h
 
     _post_order(root, dist, record, paths=True)
+    length_total = ordered_sum(n.reaching_probability * math.log(n.alphabet_size) for n in records)
+    entropy_total = ordered_sum(n.reaching_probability * n.branching_entropy for n in records)
     h_source = entropy(dist)
     if abs(entropy_total - h_source) > 1e-9:
         raise ArithmeticError(
             f"conditional branching entropies sum to {entropy_total}, "
             f"but the source entropy is {h_source}"
         )
-    total_r = sum(rec.local_redundancy for rec in records)
+    total_r = ordered_sum(n.local_redundancy for n in records)
     return RedundancyReport(tuple(records), length_total, h_source, total_r)
 
 

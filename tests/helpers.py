@@ -6,12 +6,18 @@ All randomness is seeded from the MCHUFF_SEED environment variable
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import heapq
+import io
 import itertools
+import json
 import math
 import os
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from mchuff import (
     METRICS,
@@ -22,6 +28,7 @@ from mchuff import (
     build_single_huffman,
     codebook_from_tree,
     dummy_bound,
+    dummy_count,
     expected_length,
     kraft_sum,
     local_redundancy,
@@ -29,6 +36,7 @@ from mchuff import (
     pruned_search,
     replay_sequence,
 )
+from mchuff.cli import main as cli_main
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
 
@@ -37,6 +45,24 @@ PROFILES = [(2, 3), (2, 4), (3, 4), (2, 2, 3)]
 
 def make_rng(tag: str, seed: str = SEED) -> random.Random:
     return random.Random(f"{seed}:{tag}")
+
+
+def heap_merged_total(masses, q: int):
+    """Sum of the merged masses of the q-ary Huffman procedure, merging on a heap.
+
+    The reference ``huffman_merged_total`` is checked against.
+    """
+    m = len(masses)
+    if m == 1:
+        return 0
+    heap = [0] * dummy_count(m, q) + sorted(masses)
+    heapq.heapify(heap)
+    total = 0
+    while len(heap) > 1:
+        s = sum(heapq.heappop(heap) for _ in range(q))
+        total += s
+        heapq.heappush(heap, s)
+    return total
 
 
 def random_distribution(rng: random.Random, m: int) -> Distribution:
@@ -260,3 +286,32 @@ def tree_results_tsv() -> str:
                     " ".join(f"{_seq(c.lengths)}:{c.expected_length.hex()}" for c in codes),
                 )))
     return "\n".join(rows) + "\n"
+
+
+#: Source and channel lists of the pinned build outputs (tests/golden/build_sha256.tsv);
+#: six masses, so single-channel codes on q = 3 and q = 5 need padding slots.
+PADDED_SIX = ["0.05", "0.1", "0.12", "0.18", "0.25", "0.3"]
+BUILD_CHANNELS = ([3, 2], [2, 3, 5])
+BUILD_FILES = ("tree.json", "codebook.json", "stats.json")
+
+
+def build_hashes() -> str:
+    """sha256 of each ``mchuff build`` output file, one TSV line per channel list, method and file.
+
+    Record the file with ``PYTHONPATH=src:tests python3 -c "import helpers,
+    sys; sys.stdout.write(helpers.build_hashes())"``.
+    """
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        dist, out = Path(tmp) / "d.json", Path(tmp) / "out"
+        for channels in BUILD_CHANNELS:
+            dist.write_text(json.dumps({"masses": PADDED_SIX, "channels": channels}))
+            methods = ["optimal", "suboptimal"] + [f"prune={metric}" for metric in METRICS]
+            methods += [f"single={c}" for c in range(1, len(channels) + 1)]
+            for method in methods:
+                if cli_main(["build", str(dist), "--method", method, "--out-dir", str(out)]) != 0:
+                    raise RuntimeError(f"build --method {method} failed on channels {channels}")
+                for name in BUILD_FILES:
+                    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    lines.append(f"{','.join(map(str, channels))}\t{method}\t{name}\t{digest}")
+    return "\n".join(lines) + "\n"

@@ -1,23 +1,17 @@
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from mchuff import METRICS
 from mchuff.cli import main
 
-from helpers import make_rng
+from helpers import build_hashes, make_rng
 
 GOLDEN = Path(__file__).parent / "golden" / "tables.tsv"
 BUILD_GOLDEN = Path(__file__).parent / "golden" / "build_sha256.tsv"
 
 BENCHMARK = {"masses": ["0.13", "0.199", "0.212", "0.217", "0.242"], "channels": [2, 3]}
 ENTROPY_ROW = {"masses": ["1/6", "1/6", "1/3", "1/3"], "channels": [2, 3]}
-# six masses, so single-channel codes on q = 3 and q = 5 need padding slots
-PADDED_SIX = ["0.05", "0.1", "0.12", "0.18", "0.25", "0.3"]
-BUILD_CHANNELS = ([3, 2], [2, 3, 5])
-BUILD_FILES = ("tree.json", "codebook.json", "stats.json")
 EXAMPLE_THREE = {"channels": [2, 2, 2], "words": [["0", "0", ""], ["1", "", "0"], ["", "1", "1"]]}
 # 1/2, ..., 1/2**1199, 1/2**1199: the smallest masses underflow a float, the Huffman tree is 1199 deep
 GEOMETRIC_1200 = [f"1/{2**j}" for j in range(1, 1200)] + [f"1/{2**1199}"]
@@ -77,22 +71,6 @@ class TestAnalyze:
         assert "entropy: 1.3862943611 nats" in capsys.readouterr().out
 
 
-def build_hashes(tmp_path: Path) -> str:
-    """sha256 of each build output file, one TSV line per channel list, method and file."""
-    lines = []
-    for channels in BUILD_CHANNELS:
-        dist = write_json(tmp_path / "d.json", {"masses": PADDED_SIX, "channels": channels})
-        methods = ["optimal", "suboptimal"] + [f"prune={metric}" for metric in METRICS]
-        methods += [f"single={c}" for c in range(1, len(channels) + 1)]
-        for method in methods:
-            out = tmp_path / "out"
-            assert main(["build", str(dist), "--method", method, "--out-dir", str(out)]) == 0
-            for name in BUILD_FILES:
-                digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-                lines.append(f"{','.join(map(str, channels))}\t{method}\t{name}\t{digest}")
-    return "\n".join(lines) + "\n"
-
-
 class TestBuild:
     def test_optimal_benchmark(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", BENCHMARK)
@@ -136,9 +114,9 @@ class TestBuild:
         for name in ("tree.json", "codebook.json", "stats.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_output_bytes_match_golden(self, tmp_path):
+    def test_output_bytes_match_golden(self):
         """Every method's output files hash to the recorded values (tests/golden/build_sha256.tsv)."""
-        assert build_hashes(tmp_path) == BUILD_GOLDEN.read_text()
+        assert build_hashes() == BUILD_GOLDEN.read_text()
 
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", BENCHMARK)
@@ -162,16 +140,15 @@ class TestBuild:
 
 
 class TestTooDeep:
-    """Inputs whose trees or sequences nest deeper than the recursive passes reach."""
+    """Inputs whose trees or merge sequences are 1,199 levels deep."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["build", "{dist}", "--method", "single=1", "--out-dir", "{out}"],
             ["build", "{dist}", "--method", "optimal", "--out-dir", "{out}"],
-            ["enumerate", "--m", "1200", "--channels", "2"],
         ],
-        ids=["build-single", "build-optimal", "enumerate"],
+        ids=["build-single", "build-optimal"],
     )
     def test_exits_2_without_traceback(self, tmp_path, capsys, argv):
         dist = write_json(tmp_path / "d.json", {"masses": GEOMETRIC_1200, "channels": [2]})
@@ -180,6 +157,10 @@ class TestTooDeep:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_enumerate_lists_the_one_sequence(self, capsys):
+        assert main(["enumerate", "--m", "1200", "--channels", "2"]) == 0
+        assert capsys.readouterr().out == ",".join(["2"] * 1199) + "\n"
 
 
 class TestTables:
@@ -269,6 +250,20 @@ class TestCodecCommands:
         (tmp_path / "syms.txt").write_text("0 1\n")
         assert main(["encode", str(book), str(tmp_path / "syms.txt")]) == 2
         assert "words[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    @pytest.mark.parametrize(
+        "words, bad",
+        [([[0, 1], [1, 0]], 0), ([[10, ""], ["", 1]], 0)],
+        ids=["ints", "ten"],
+    )
+    def test_word_components_must_be_strings(self, tmp_path, capsys, command, words, bad):
+        book = write_json(tmp_path / "cb.json", {"channels": [2, 2], "words": words})
+        (tmp_path / "syms.txt").write_text("0 1\n")
+        write_json(tmp_path / "streams.json", {"streams": ["01", "10"]})
+        data = tmp_path / ("syms.txt" if command == "encode" else "streams.json")
+        assert main([command, str(book), str(data)]) == 2
+        assert f"words[{bad}]" in capsys.readouterr().err
 
     def test_missing_symbols_file_exits_2(self, tmp_path, capsys):
         out = self.build(tmp_path)

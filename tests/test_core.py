@@ -55,7 +55,33 @@ class TestDistribution:
         assert d.weights == (2, 3, 3, 4)
         assert Distribution.from_masses([1]).weights == (1,)
         with pytest.raises(ValueError, match="sum to exactly 1"):
-            Distribution((Fraction(1, 3), Fraction(1, 3)), (0, 1))
+            Distribution((1, 1), 3, (0, 1))
+
+    @pytest.mark.parametrize(
+        "weights, scale, message",
+        [
+            ((0, 1), 1, "positive"),
+            ((-1, 2), 1, "positive"),
+            ((2, 1), 3, "nondecreasing"),
+            ((2, 2), 4, "lowest terms"),
+            ((2, 4), 6, "lowest terms"),
+        ],
+    )
+    def test_rejects_bad_weights(self, weights, scale, message):
+        with pytest.raises(ValueError, match=message):
+            Distribution(weights, scale, (0, 1))
+
+    def test_rejects_input_order_not_a_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            Distribution((1, 2), 3, (0, 0))
+
+    def test_rescale_reduces_to_lowest_terms(self):
+        # the totals miss 1 by 10**-10; the last mass absorbs it and the 10**10 scale reduces
+        d = Distribution.from_masses(["0.3", "0.3", "0.4000000001"])
+        assert d.rescaled
+        assert (d.weights, d.scale, d.input_order) == ((3, 3, 4), 10, (0, 1, 2))
+        d = Distribution.from_masses(["0.2", "0.2", "0.6000000001"])
+        assert (d.weights, d.scale) == ((1, 1, 3), 5)
 
 
 class TestChannelProfile:

@@ -20,15 +20,19 @@ from mchuff import (
     optimal_search,
     suboptimal_build,
 )
+from mchuff.huffman import huffman_merged_total
 
-from helpers import GOLDEN_SEARCH_CHANNELS, dummy_length_tuples, random_tree
+from helpers import GOLDEN_SEARCH_CHANNELS, dummy_length_tuples, heap_merged_total, random_tree
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
 # each mass is a random rational share; normalizing makes the denominators differ
 shares = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
-sources = st.lists(shares, min_size=1, max_size=10).map(
-    lambda xs: Distribution.from_masses([x / sum(xs) for x in xs])
+normalized = st.lists(shares, min_size=1, max_size=10).map(lambda xs: [x / sum(xs) for x in xs])
+sources = normalized.map(Distribution.from_masses)
+# masses written to 12 decimals miss a total of 1 by under 10**-9, so many are rescaled
+rounded_sources = normalized.map(
+    lambda ps: Distribution.from_masses([f"{float(p):.12f}" for p in ps])
 )
 profiles = st.sampled_from(GOLDEN_SEARCH_CHANNELS).map(ChannelProfile.from_sizes)
 
@@ -38,6 +42,31 @@ profiles = st.sampled_from(GOLDEN_SEARCH_CHANNELS).map(ChannelProfile.from_sizes
 def test_weights_are_the_masses_over_scale(dist):
     assert sum(dist.weights) == dist.scale
     assert all(Fraction(w, dist.scale) == p for w, p in zip(dist.weights, dist.masses))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(sources, rounded_sources))
+def test_weights_are_in_lowest_terms(dist):
+    assert math.gcd(dist.scale, *dist.weights) == 1
+    assert dist.scale == math.lcm(*(p.denominator for p in dist.masses))
+
+
+@PROPERTY_SETTINGS
+@given(normalized.flatmap(lambda ps: st.tuples(st.just(ps), st.permutations(ps))))
+def test_weights_do_not_depend_on_input_order(masses_and_shuffled):
+    masses, shuffled = masses_and_shuffled
+    dist = Distribution.from_masses(masses)
+    again = Distribution.from_masses(shuffled)
+    assert (again.weights, again.scale) == (dist.weights, dist.scale)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=256), st.sampled_from((2, 3, 5, 40)))
+def test_huffman_total_matches_heap_oracle(weights, q):
+    """Tie-heavy masses, as integers and as probabilities."""
+    assert huffman_merged_total(weights, q) == heap_merged_total(weights, q)
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    assert huffman_merged_total(masses, q) == heap_merged_total(masses, q)
 
 
 @PROPERTY_SETTINGS
