@@ -44,11 +44,10 @@ from .tree import (
     codebook_from_tree,
     count_leaves,
     local_redundancy,
-    map_classes,
     necessary_tree_check,
     tree_from_obj,
     tree_from_two_channel_prefix,
-    tree_to_obj,
+    tree_to_json,
     validate_tree,
 )
 
@@ -160,11 +159,11 @@ def cmd_build(args) -> int:
     codebook = codebook_from_tree(result.tree, profile)
     report = local_redundancy(result.tree, dist)
     user_sizes = profile.user_sizes
-    user_root = map_classes(result.tree, profile.user_order)
     canon = profile.canonical_index
     user_words = [[word[c] for c in canon] for word in codebook.words]
 
-    _write_json(out_dir / "tree.json", {"channels": user_sizes, "root": tree_to_obj(user_root)})
+    tree_text = tree_to_json(result.tree, user_sizes, profile.user_order)
+    (out_dir / "tree.json").write_text(tree_text + "\n", "utf-8")
     _write_json(
         out_dir / "codebook.json",
         {

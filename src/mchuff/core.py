@@ -191,16 +191,28 @@ def description_length(lengths: Sequence[int], profile) -> float:
 
 
 def kraft_sum(length_tuples: Iterable[Sequence[int]], profile) -> Fraction:
-    """Exact value of sum over codewords of prod_i q_i^(-l_i), added over prod_i q_i^(max l_i)."""
+    """Exact value of sum over codewords of prod_i q_i^(-l_i), added over prod_i q_i^(max l_i).
+
+    Equal tuples are checked once and counted, so the cost follows the few
+    distinct tuples a code has, not its word count.
+    """
     sizes = as_sizes(profile)
-    tuples = list(length_tuples)
-    for j, lt in enumerate(tuples):
-        if len(lt) != len(sizes):
-            raise ValueError(f"length tuple {j} has {len(lt)} components for {len(sizes)} channels")
-        if any(l < 0 for l in lt):
-            raise ValueError(f"length tuple {j} has a negative component")
-    longest = [max(column) for column in zip(*tuples)]
-    total = sum(math.prod(q ** (top - l) for l, q, top in zip(lt, sizes, longest)) for lt in tuples)
+    counts: dict[tuple[int, ...], int] = {}
+    for j, lt in enumerate(length_tuples):
+        key = tuple(lt)
+        seen = counts.get(key)
+        if seen is None:
+            if len(key) != len(sizes):
+                raise ValueError(f"length tuple {j} has {len(key)} components for {len(sizes)} channels")
+            if any(l < 0 for l in key):
+                raise ValueError(f"length tuple {j} has a negative component")
+            seen = 0
+        counts[key] = seen + 1
+    longest = [max(column) for column in zip(*counts)]
+    total = sum(
+        count * math.prod(q ** (top - l) for l, q, top in zip(lt, sizes, longest))
+        for lt, count in counts.items()
+    )
     return Fraction(total, math.prod(q**top for q, top in zip(sizes, longest)))
 
 

@@ -77,19 +77,25 @@ def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
     m = dist.m
     root, steps = replay_sequence(dist, ChannelProfile((q,), (0,)), huffman_merge_sequence(m, q))
 
+    # a child's codeword is its parent's plus one rendered digit; q > 36 separates digits with commas
+    first = [digits.render((d,), q) for d in range(q)]
+    later = first if q <= 36 else ["," + label for label in first]
     lengths = [0] * m
     codewords = [""] * m
     dummy_lengths: list[int] = []
-    stack = [(root, ())]
+    stack = [(root, 0, "")]
     while stack:
-        node, path = stack.pop()
+        node, depth, word = stack.pop()
         if isinstance(node, Leaf):
-            lengths[node.symbol] = len(path)
-            codewords[node.symbol] = digits.render(path, q)
+            lengths[node.symbol] = depth
+            codewords[node.symbol] = word
         elif isinstance(node, DummyLeaf):
-            dummy_lengths.append(len(path))
+            dummy_lengths.append(depth)
         else:
-            stack.extend((child, path + (digit,)) for digit, child in enumerate(node.children))
+            labels = later if depth else first
+            stack.extend(
+                (child, depth + 1, word + labels[digit]) for digit, child in enumerate(node.children)
+            )
     expected = ordered_sum(w / dist.scale * l for w, l in zip(dist.weights, lengths)) * math.log(q)
     merge_ks = tuple(step.k for step in steps)
     return SingleChannelCode(

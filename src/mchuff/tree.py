@@ -123,7 +123,15 @@ def validate_tree(root: Node, profile, m: int) -> list[str]:
 
 
 def count_leaves(root: Node) -> int:
-    return len(_leaf_symbols(root))
+    count = 0
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            count += 1
+        elif isinstance(node, Internal):
+            stack.extend(node.children)
+    return count
 
 
 def codebook_from_tree(root: Node, profile) -> Codebook:
@@ -306,6 +314,51 @@ def tree_to_obj(root: Node) -> dict:
     if isinstance(root, DummyLeaf):
         return {"dummy": True}
     return {"class": root.class_index, "children": [tree_to_obj(c) for c in root.children]}
+
+
+def tree_to_json(root: Node, channels: Sequence[int], mapping: Sequence[int]) -> str:
+    """tree.json text, written in one walk of the tree without recursion.
+
+    For a tree whose internal nodes have children, as every tree built here
+    does, this equals ``json.dumps({"channels": list(channels), "root":
+    tree_to_obj(map_classes(root, mapping))}, indent=2, sort_keys=True)``
+    without building the mapped tree or its dict form; before Python 3.13
+    that call also indents in json's pure-Python encoder.
+    """
+    items = ",\n    ".join(str(q) for q in channels)
+    pieces = ['{\n  "channels": [\n    ', items, '\n  ],\n  "root": ']
+    # the object of a node at depth d is indented 2 d + 1 levels deep
+    levels: list[tuple[str, ...]] = []
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        node, depth = item
+        if depth == len(levels):
+            outer, inner, child = ("  " * (2 * depth + k) for k in (1, 2, 3))
+            levels.append((
+                f'{{\n{inner}"symbol": ',
+                f"\n{outer}}}",
+                f'{{\n{inner}"dummy": true\n{outer}}}',
+                f'{{\n{inner}"children": [\n{child}',
+                f",\n{child}",
+                f'\n{inner}],\n{inner}"class": ',
+            ))
+        leaf, closing, dummy, internal, separator, class_key = levels[depth]
+        if isinstance(node, Leaf):
+            pieces += (leaf, str(node.symbol), closing)
+        elif isinstance(node, DummyLeaf):
+            pieces.append(dummy)
+        else:
+            pieces.append(internal)
+            stack.append(f"{class_key}{mapping[node.class_index]}{closing}")
+            for child in reversed(node.children[1:]):
+                stack += ((child, depth + 1), separator)
+            stack.append((node.children[0], depth + 1))
+    pieces.append("\n}")
+    return "".join(pieces)
 
 
 def tree_from_obj(obj) -> Node:

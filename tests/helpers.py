@@ -309,9 +309,53 @@ def build_hashes() -> str:
             methods = ["optimal", "suboptimal"] + [f"prune={metric}" for metric in METRICS]
             methods += [f"single={c}" for c in range(1, len(channels) + 1)]
             for method in methods:
-                if cli_main(["build", str(dist), "--method", method, "--out-dir", str(out)]) != 0:
-                    raise RuntimeError(f"build --method {method} failed on channels {channels}")
-                for name in BUILD_FILES:
-                    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-                    lines.append(f"{','.join(map(str, channels))}\t{method}\t{name}\t{digest}")
+                lines += _build_lines(dist, out, method, ",".join(map(str, channels)))
+    return "\n".join(lines) + "\n"
+
+
+def _build_lines(dist: Path, out: Path, method: str, lead: str) -> list[str]:
+    """Run ``mchuff build`` and return ``lead``, method, file name and sha256 per output file."""
+    if cli_main(["build", str(dist), "--method", method, "--out-dir", str(out)]) != 0:
+        raise RuntimeError(f"build --method {method} failed on {lead!r}")
+    return [
+        f"{lead}\t{method}\t{name}\t{hashlib.sha256((out / name).read_bytes()).hexdigest()}"
+        for name in BUILD_FILES
+    ]
+
+
+#: Alphabet sizes and channel lists of the pinned large-alphabet outputs
+#: (tests/golden/large_alphabet_sha256.tsv); q = 40 takes the comma-separated digits.
+LARGE_SIZES = (512, 2048)
+LARGE_CHANNELS = ([2, 40], [5, 2, 3])
+
+#: 1/2, ..., 1/2**1199, 1/2**1199: the smallest masses underflow a float, the Huffman tree is 1199 deep.
+GEOMETRIC_1200 = [f"1/{2**j}" for j in range(1, 1200)] + [f"1/{2**1199}"]
+
+
+def large_alphabet_hashes() -> str:
+    """sha256 of ``mchuff analyze`` stdout and of every ``build --method single=k`` file.
+
+    Sources are symbol counts drawn from seed "0" whatever MCHUFF_SEED says,
+    heavy at the low symbols and with many ties. One TSV line per size,
+    channel list, command and output. Record the file with
+    ``PYTHONPATH=src:tests python3 -c "import helpers, sys;
+    sys.stdout.write(helpers.large_alphabet_hashes())"``.
+    """
+    rng = make_rng("large-alphabet-golden", seed="0")
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        dist, out = Path(tmp) / "d.json", Path(tmp) / "out"
+        for m in LARGE_SIZES:
+            counts = [rng.randint(1, 1 + 4 * m // (j + 1)) for j in range(m)]
+            masses = [str(Fraction(c, sum(counts))) for c in counts]
+            for channels in LARGE_CHANNELS:
+                lead = f"{m}\t{','.join(map(str, channels))}"
+                dist.write_text(json.dumps({"masses": masses, "channels": channels}))
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                    if cli_main(["analyze", str(dist)]) != 0:
+                        raise RuntimeError(f"analyze failed at m={m} on channels {channels}")
+                    digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+                    lines.append(f"{lead}\tanalyze\tstdout\t{digest}")
+                    for c in range(1, len(channels) + 1):
+                        lines += _build_lines(dist, out, f"single={c}", lead)
     return "\n".join(lines) + "\n"

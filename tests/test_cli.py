@@ -5,16 +5,15 @@ import pytest
 
 from mchuff.cli import main
 
-from helpers import build_hashes, make_rng
+from helpers import GEOMETRIC_1200, build_hashes, large_alphabet_hashes, make_rng
 
 GOLDEN = Path(__file__).parent / "golden" / "tables.tsv"
 BUILD_GOLDEN = Path(__file__).parent / "golden" / "build_sha256.tsv"
+LARGE_GOLDEN = Path(__file__).parent / "golden" / "large_alphabet_sha256.tsv"
 
 BENCHMARK = {"masses": ["0.13", "0.199", "0.212", "0.217", "0.242"], "channels": [2, 3]}
 ENTROPY_ROW = {"masses": ["1/6", "1/6", "1/3", "1/3"], "channels": [2, 3]}
 EXAMPLE_THREE = {"channels": [2, 2, 2], "words": [["0", "0", ""], ["1", "", "0"], ["", "1", "1"]]}
-# 1/2, ..., 1/2**1199, 1/2**1199: the smallest masses underflow a float, the Huffman tree is 1199 deep
-GEOMETRIC_1200 = [f"1/{2**j}" for j in range(1, 1200)] + [f"1/{2**1199}"]
 
 
 def write_json(path: Path, obj) -> Path:
@@ -117,6 +116,10 @@ class TestBuild:
     def test_output_bytes_match_golden(self):
         """Every method's output files hash to the recorded values (tests/golden/build_sha256.tsv)."""
         assert build_hashes() == BUILD_GOLDEN.read_text()
+
+    def test_large_alphabet_bytes_match_golden(self):
+        """analyze output and single-channel builds at m = 512 and 2048 (tests/golden/large_alphabet_sha256.tsv)."""
+        assert large_alphabet_hashes() == LARGE_GOLDEN.read_text()
 
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", BENCHMARK)

@@ -162,6 +162,14 @@ class TestKraftSum:
         with pytest.raises(ValueError):
             kraft_sum([(1,)], ChannelProfile.from_sizes((2, 3)))
 
+    def test_repeated_tuples_count_and_errors_name_the_first_bad_one(self):
+        p = ChannelProfile.from_sizes((2, 3))
+        assert kraft_sum([(1, 1), [1, 1], (0, 1), [0, 1], (1, 1)], p) == Fraction(7, 6)
+        with pytest.raises(ValueError, match="length tuple 2 has a negative component"):
+            kraft_sum([(1, 0), [1, 0], (1, -1), (1,)], p)
+        with pytest.raises(ValueError, match="length tuple 3 has 1 components for 2 channels"):
+            kraft_sum([(1, 0), (1, 0), [0, 1], (1,), (0, -1)], p)
+
 
 class TestDummyBound:
     def test_example_values(self):

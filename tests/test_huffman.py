@@ -144,6 +144,18 @@ class TestBuildSingleHuffman:
                 assert build_single_huffman(d, q).codewords == words
         assert padded > 0
 
+    def test_codewords_on_comma_separated_alphabets(self):
+        """q > 36 writes digits as comma-separated integers; several digits deep they still match."""
+        rng = make_rng("huffman-wide")
+        profile = ChannelProfile.from_sizes((40, 2))
+        for m in (41, 120, 1700):
+            d = random_distribution(rng, m)
+            book = codebook_from_tree(construct(d, profile, "single", channel=0).tree, profile)
+            words = tuple(word[profile.canonical_index[0]] for word in book.words)
+            code = build_single_huffman(d, 40)
+            assert code.codewords == words
+            assert max(word.count(",") for word in code.codewords) >= 1
+
     def test_deep_tree_without_recursion_limit(self):
         m = 1200
         masses = [Fraction(1, 2**j) for j in range(1, m)]

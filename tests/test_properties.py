@@ -3,8 +3,13 @@
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,19 +17,28 @@ from hypothesis import strategies as st
 from mchuff import (
     NATS_EPS,
     ChannelProfile,
+    CodecError,
     Distribution,
     codebook_from_tree,
+    decode,
+    encode,
     entropy,
     huffman_expected_length,
     kraft_sum,
+    map_classes,
     optimal_search,
     suboptimal_build,
+    tree_to_obj,
 )
+from mchuff.cli import main as cli_main
 from mchuff.huffman import huffman_merged_total
+from mchuff.tree import tree_to_json
 
 from helpers import GOLDEN_SEARCH_CHANNELS, dummy_length_tuples, heap_merged_total, random_tree
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+# for properties whose examples each build a tree and write, parse or dump it
+TREE_IO_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=40)
 
 # each mass is a random rational share; normalizing makes the denominators differ
 shares = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
@@ -93,3 +107,126 @@ def test_kraft_sum_with_dummies_is_one(dist, profile, rng):
     root, _ = random_tree(rng, dist, profile)
     lengths = codebook_from_tree(root, profile).length_tuples()
     assert kraft_sum(lengths + tuple(dummy_length_tuples(root, profile.n)), profile) == 1
+
+
+# caller's channel orders, out of order too; q = 40 writes comma-separated digits
+WRITER_CHANNELS = ((40, 2), (5, 2, 3), (3, 2), (2, 40), (40,))
+
+
+@TREE_IO_SETTINGS
+@given(
+    st.sampled_from(WRITER_CHANNELS).map(ChannelProfile.from_sizes),
+    st.integers(2, 401),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_tree_json_matches_json_dumps(profile, m, geometric, rng):
+    """Doubling weights merge into a chain, one level per merge; small counts leave many ties."""
+    weights = [2**j for j in range(m)] if geometric else [rng.randint(1, 4) for _ in range(m)]
+    dist = Distribution.from_masses([Fraction(w, sum(weights)) for w in weights])
+    root, _ = random_tree(rng, dist, profile)
+    user_root = map_classes(root, profile.user_order)
+    expected = json.dumps(
+        {"channels": list(profile.user_sizes), "root": tree_to_obj(user_root)}, indent=2, sort_keys=True
+    )
+    assert tree_to_json(root, profile.user_sizes, profile.user_order) == expected
+
+
+CODEC_CHANNELS = ((2,), (2, 3), (2, 40), (5, 2, 3))
+# digits of every alphabet, the separator of large ones, and characters no alphabet has
+digit_strings = st.one_of(
+    st.text(alphabet="0123456789az,- Z", max_size=30),
+    st.lists(st.integers(-2, 45), max_size=12).map(lambda ds: ",".join(map(str, ds))),
+)
+
+
+@TREE_IO_SETTINGS
+@given(
+    sources.filter(lambda dist: dist.m > 1),
+    st.sampled_from(CODEC_CHANNELS).map(ChannelProfile.from_sizes),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+def test_decode_raises_only_codec_errors(dist, profile, rng, data):
+    root, _ = random_tree(rng, dist, profile)
+    streams = data.draw(st.tuples(*(digit_strings for _ in profile.sizes)))
+    count = data.draw(st.none() | st.integers(0, 12))
+    try:
+        symbols = decode(root, streams, count=count)
+    except CodecError:
+        return
+    assert all(0 <= s < dist.m for s in symbols)
+
+
+TREE_MUTATIONS = (
+    "not-an-object", "symbol-type", "class-type", "children-type", "missing-key",
+    "bad-class", "child-count", "bad-symbol", "channels",
+)
+
+
+def break_tree_file(doc: dict, how: str, rng) -> None:
+    """Change one part of a tree.json document so that it no longer describes a valid tree."""
+    nodes = []  # (node, its parent's children list or None for the root, index there)
+    stack = [(doc["root"], None, 0)]
+    while stack:
+        node, parent, slot = stack.pop()
+        nodes.append((node, parent, slot))
+        stack.extend((child, node["children"], i) for i, child in enumerate(node.get("children", ())))
+    leaves = [node for node, _, _ in nodes if "symbol" in node]
+    internal = [node for node, _, _ in nodes if "children" in node]
+    if how == "not-an-object":
+        _, parent, slot = rng.choice(nodes)
+        value = rng.choice([0, "x", None, [], [{"dummy": True}]])
+        if parent is None:
+            doc["root"] = value
+        else:
+            parent[slot] = value
+    elif how == "symbol-type":
+        rng.choice(leaves)["symbol"] = rng.choice(["0", 1.5, True, None, [0]])
+    elif how == "class-type":
+        rng.choice(internal)["class"] = rng.choice(["0", 0.5, False, None, [0]])
+    elif how == "children-type":
+        rng.choice(internal)["children"] = rng.choice([[], {}, "ab", None, 2])
+    elif how == "missing-key":
+        node = rng.choice(nodes)[0]
+        del node[rng.choice(sorted(node))]
+    elif how == "bad-class":
+        rng.choice(internal)["class"] = rng.choice([-1, len(doc["channels"]), 99])
+    elif how == "child-count":
+        children = rng.choice(internal)["children"]
+        if rng.random() < 0.5:
+            children.pop(rng.randrange(len(children)))
+        else:
+            children.append({"dummy": True})
+    elif how == "bad-symbol":
+        leaf = rng.choice(leaves)
+        others = [other["symbol"] for other in leaves if other is not leaf]
+        leaf["symbol"] = rng.choice([-1, len(leaves), rng.choice(others)])
+    else:
+        value = rng.choice(["2", [1, 2], [2.5], None, [True], "missing"])
+        if value == "missing":
+            del doc["channels"]
+        else:
+            doc["channels"] = value
+
+
+@TREE_IO_SETTINGS
+@given(
+    sources.filter(lambda dist: dist.m > 1),
+    st.sampled_from(CODEC_CHANNELS).map(ChannelProfile.from_sizes),
+    st.sampled_from(TREE_MUTATIONS),
+    st.randoms(use_true_random=False),
+)
+def test_decode_cli_rejects_broken_tree_files(dist, profile, how, rng):
+    root, _ = random_tree(rng, dist, profile)
+    symbols = [rng.randrange(dist.m) for _ in range(20)]
+    streams = encode(codebook_from_tree(root, profile), symbols)
+    doc = {"channels": list(profile.sizes), "root": tree_to_obj(root)}
+    break_tree_file(doc, how, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        tree_file, streams_file = Path(tmp) / "tree.json", Path(tmp) / "streams.json"
+        tree_file.write_text(json.dumps(doc))
+        streams_file.write_text(json.dumps({"streams": list(streams)}))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(["decode", str(tree_file), str(streams_file)])
+    assert code in (2, 3, 4)

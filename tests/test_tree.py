@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from mchuff import (
     encode,
     entropy,
     expected_length,
+    huffman_merge_sequence,
     kraft_sum,
     local_redundancy,
     map_classes,
@@ -30,7 +32,10 @@ from mchuff import (
     tree_to_obj,
     validate_tree,
 )
+from mchuff.tree import tree_to_json
+
 from helpers import (
+    GEOMETRIC_1200,
     PROFILES,
     count_dummies,
     make_rng,
@@ -267,6 +272,25 @@ class TestSerialization:
             tree_from_obj({"class": 0, "children": []})
         with pytest.raises(ValueError):
             tree_from_obj([1, 2])
+
+
+def test_tree_json_on_deep_trees():
+    """At depth 400 the writer matches ``json.dumps``; at depth 1199, past its recursion, it still returns."""
+    masses = [Fraction(1, 2**j) for j in range(1, 401)]
+    dist = Distribution.from_masses(masses + masses[-1:])
+    profile = ChannelProfile.from_sizes((3, 2))
+    root, _ = replay_sequence(dist, profile, (2,) * 400)
+    user_root = map_classes(root, profile.user_order)
+    expected = json.dumps({"channels": [3, 2], "root": tree_to_obj(user_root)}, indent=2, sort_keys=True)
+    assert tree_to_json(root, profile.user_sizes, profile.user_order) == expected
+
+    deep = Distribution.from_masses(GEOMETRIC_1200)
+    root, _ = replay_sequence(deep, ChannelProfile.from_sizes((2,)), huffman_merge_sequence(1200, 2))
+    text = tree_to_json(root, (2,), (0,))
+    assert text.count('"symbol": ') == 1200
+    assert text.count('"class": 0') == 1199
+    deepest = "  " * (2 * 1199 + 2) + '"symbol": '
+    assert text.count("\n" + deepest) == 2
 
 
 def test_tree_results_match_golden():
