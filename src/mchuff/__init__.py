@@ -28,12 +28,8 @@ from .core import (
 from .estimator import MultiChannelHuffmanCoder, NotFittedError
 from .heuristics import (
     METRICS,
-    MergeState,
     TraceTable,
-    apply_merge,
     construct,
-    initial_state,
-    metric_value,
     pruned_search,
     suboptimal_build,
 )
@@ -83,7 +79,6 @@ __all__ = [
     "Internal",
     "Leaf",
     "METRICS",
-    "MergeState",
     "MergeStep",
     "MultiChannelHuffmanCoder",
     "NATS_EPS",
@@ -95,7 +90,6 @@ __all__ = [
     "TraceTable",
     "TrailingDataError",
     "TruncationError",
-    "apply_merge",
     "build_single_huffman",
     "codebook_from_tree",
     "construct",
@@ -109,11 +103,9 @@ __all__ = [
     "expected_length",
     "huffman_expected_length",
     "huffman_merge_sequence",
-    "initial_state",
     "kraft_sum",
     "local_redundancy",
     "map_classes",
-    "metric_value",
     "necessary_tree_check",
     "optimal_search",
     "prefix_free",

@@ -38,7 +38,7 @@ from .codec import (
 from .core import ChannelProfile, Distribution, entropy, kraft_sum
 from .heuristics import METRICS, construct
 from .huffman import build_single_huffman, dummy_count
-from .search import SearchResult, enumerate_merge_sequences
+from .search import SearchResult, merge_prefixes
 from .tree import (
     Codebook,
     codebook_from_tree,
@@ -207,12 +207,11 @@ def cmd_enumerate(args) -> int:
     except ValueError:
         raise CliError(f"--channels must be comma-separated integers, got {args.channels!r}") from None
     try:
-        profile = ChannelProfile.from_sizes(sizes)
-        sequences = enumerate_merge_sequences(args.m, profile)
+        for prefix, count in merge_prefixes(args.m, ChannelProfile.from_sizes(sizes)):
+            if count == 1:
+                print(",".join(str(k) for k in prefix))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    for seq in sequences:
-        print(",".join(str(k) for k in seq))
     return EXIT_OK
 
 

@@ -7,10 +7,14 @@ decimal digits so fixtures stay printable either way.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_VALUE = {c: v for v, c in enumerate(_ALPHABET)}
+# where a decimal list departs from what render writes: a character other than an
+# ASCII digit or comma (a sign, space, underscore), an empty token or a leading zero
+_NONCANONICAL = re.compile(r"[^0-9,]|(?:^|,)(?:,|$|0[0-9])")
 
 
 def render(values: Iterable[int], q: int) -> str:
@@ -31,11 +35,10 @@ def parse(text: str, q: int) -> tuple[int, ...]:
             vals = tuple(_CHAR_VALUE[c] for c in text)
         except KeyError as exc:
             raise ValueError(f"invalid digit {exc.args[0]!r} for alphabet size {q}") from None
+    elif _NONCANONICAL.search(text):
+        raise ValueError(f"invalid digit list {text!r} for alphabet size {q}")
     else:
-        try:
-            vals = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise ValueError(f"invalid digit list {text!r} for alphabet size {q}") from None
+        vals = tuple(map(int, text.split(",")))
     for v in vals:
         if not 0 <= v < q:
             raise ValueError(f"digit {v} out of range for alphabet size {q}")

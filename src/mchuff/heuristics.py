@@ -21,7 +21,7 @@ from .core import ChannelProfile, Distribution, NATS_EPS, entropy, ordered_sum
 from .huffman import huffman_merge_sequence, huffman_merged_total
 from .search import (
     SearchResult,
-    enumerate_merge_sequences,
+    merge_prefixes,
     merge_smallest,
     optimal_search,
     replay_sequence,
@@ -161,75 +161,64 @@ def pruned_search(
         raise ValueError(f"unknown metric {metric!r}; choose one of {METRICS}")
     if dist.m < 2:
         raise ValueError("pruned search needs at least two masses")
-    seqs = enumerate_merge_sequences(dist.m, profile)
+    # every prefix's state, built from its parent's; the walk is depth-first, so the parent ends ``path``
+    states = [initial_state(dist)]
+    parents = [0]
+    values = [0.0]
+    by_count: dict[int, list[int]] = {}
+    path = [0]
+    for prefix, count in merge_prefixes(dist.m, profile):
+        del path[len(prefix):]
+        parents.append(path[-1])
+        state = apply_merge(states[path[-1]], prefix[-1], profile)
+        path.append(len(states))
+        by_count.setdefault(count, []).append(len(states))
+        states.append(state)
+        values.append(metric_value(state, metric, profile))
 
-    states: dict[tuple[int, ...], MergeState] = {(): initial_state(dist)}
-    counts: dict[tuple[int, ...], int] = {(): dist.m}
-    vals: dict[tuple[int, ...], float] = {}
-    for seq in seqs:
-        for t in range(1, len(seq) + 1):
-            prefix = seq[:t]
-            if prefix not in states:
-                states[prefix] = apply_merge(states[prefix[:-1]], prefix[-1], profile)
-                counts[prefix] = counts[prefix[:-1]] - (prefix[-1] - 1)
-                vals[prefix] = metric_value(states[prefix], metric, profile)
-
-    by_count: dict[int, list[tuple[int, ...]]] = {}
-    for prefix, c in counts.items():
-        if prefix:
-            by_count.setdefault(c, []).append(prefix)
-
-    alive: dict[tuple[int, ...], bool] = {(): True}
-    died_at: dict[tuple[int, ...], int] = {}
+    # a prefix competes while its parent lives; died[i] is the count where it or an ancestor was pruned
+    died: list[int | None] = [None] * len(states)
     for c in range(dist.m - 1, 0, -1):
-        cands = [p for p in by_count.get(c, ()) if alive.get(p[:-1], False)]
-        if not cands:
-            continue
-        floor = min(vals[p] for p in cands)
-        for p in cands:
-            if vals[p] <= floor + NATS_EPS:
-                alive[p] = True
-            else:
-                died_at[p] = c
+        live = []
+        for i in by_count.get(c, ()):
+            died[i] = died[parents[i]]
+            if died[i] is None:
+                live.append(i)
+        if live:
+            floor = min(values[i] for i in live)
+            for i in live:
+                if values[i] > floor + NATS_EPS:
+                    died[i] = c
 
+    complete = by_count[1]
     pruned_at: dict[tuple[int, ...], int | None] = {}
-    for seq in seqs:
-        col = None
-        for t in range(1, len(seq) + 1):
-            if seq[:t] in died_at:
-                col = died_at[seq[:t]]
-                break
-        pruned_at[seq] = col
-    survivors = tuple(s for s in seqs if pruned_at[s] is None)
-    if not survivors:
+    cellvals: dict[tuple[tuple[int, ...], int], float] = {}
+    for i in complete:
+        seq = states[i].sequence
+        pruned_at[seq] = died[i]
+        j = i
+        while j:
+            cellvals[(seq, len(states[j].weights))] = values[j]
+            j = parents[j]
+    kept = [states[i] for i in complete if died[i] is None]
+    if not kept:
         raise RuntimeError("pruning eliminated every sequence")
+    winner = kept[0]
+    for state in kept[1:]:
+        if state.accumulated_length < winner.accumulated_length - NATS_EPS:
+            winner = state
 
-    winner = survivors[0]
-    best = states[winner].accumulated_length
-    for s in survivors[1:]:
-        realized = states[s].accumulated_length
-        if realized < best - NATS_EPS:
-            winner, best = s, realized
-
-    cellvals = {
-        (seq, counts[seq[:t]]): vals[seq[:t]]
-        for seq in seqs
-        for t in range(1, len(seq) + 1)
-    }
     trace = TraceTable(
         metric=metric,
-        sequences=tuple(seqs),
+        sequences=tuple(pruned_at),
         counts=tuple(range(dist.m - 1, 0, -1)),
         values=cellvals,
         pruned_at=pruned_at,
-        survivors=survivors,
-        winner=winner,
+        survivors=tuple(state.sequence for state in kept),
+        winner=winner.sequence,
     )
-    root, steps = replay_sequence(dist, profile, winner)
-    result = SearchResult(
-        tree=root, steps=steps, expected_length=best, subproblem_count=len(states) - 1
-    )
-    return result, trace
+    root, steps = replay_sequence(dist, profile, winner.sequence)
+    return SearchResult(root, steps, winner.accumulated_length, len(states) - 1), trace
 
 
 def suboptimal_build(dist: Distribution, profile: ChannelProfile) -> SearchResult:

@@ -1,6 +1,7 @@
 """Single-channel q-ary Huffman codes and their multi-channel embedding.
 
-Codes are replayed from the q-ary merge sequence, and lengths alone merge
+Codes are replayed from the q-ary merge sequence and read off the tree
+by ``tree.leaf_codewords``, the one codeword walk; lengths alone merge
 through ``search.merge_smallest`` without building a tree.
 """
 
@@ -12,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TypeVar
 
-from . import digits
 from .core import ChannelProfile, Distribution, ordered_sum
 from .search import merge_smallest, replay_sequence
-from .tree import Codebook, DummyLeaf, Leaf
+from .tree import Codebook, leaf_codewords
 
 Mass = TypeVar("Mass", int, Fraction)
 
@@ -76,31 +76,11 @@ def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
         raise ValueError("q must be at least 2")
     m = dist.m
     root, steps = replay_sequence(dist, ChannelProfile((q,), (0,)), huffman_merge_sequence(m, q))
-
-    # a child's codeword is its parent's plus one rendered digit; q > 36 separates digits with commas
-    first = [digits.render((d,), q) for d in range(q)]
-    later = first if q <= 36 else ["," + label for label in first]
-    lengths = [0] * m
-    codewords = [""] * m
-    dummy_lengths: list[int] = []
-    stack = [(root, 0, "")]
-    while stack:
-        node, depth, word = stack.pop()
-        if isinstance(node, Leaf):
-            lengths[node.symbol] = depth
-            codewords[node.symbol] = word
-        elif isinstance(node, DummyLeaf):
-            dummy_lengths.append(depth)
-        else:
-            labels = later if depth else first
-            stack.extend(
-                (child, depth + 1, word + labels[digit]) for digit, child in enumerate(node.children)
-            )
+    words, lengths, dummy_lengths = leaf_codewords(root, (q,), m)
     expected = ordered_sum(w / dist.scale * l for w, l in zip(dist.weights, lengths)) * math.log(q)
     merge_ks = tuple(step.k for step in steps)
-    return SingleChannelCode(
-        q, tuple(lengths), tuple(codewords), expected, tuple(dummy_lengths), merge_ks
-    )
+    codewords = tuple(word for (word,) in words)
+    return SingleChannelCode(q, tuple(lengths), codewords, expected, tuple(dummy_lengths), merge_ks)
 
 
 def huffman_merged_total(masses: Sequence[Mass], q: int) -> Mass | int:

@@ -10,6 +10,9 @@ is held as the integer weights of ``Distribution.weights``, all over the
 one denominator ``Distribution.scale``: memo keys are int tuples, a cost
 is ``merged / scale * ln q``, and every merge in the package (searches,
 replays into trees, Huffman totals) goes through ``merge_smallest``.
+Admissible sequences come from one depth-first walk, ``merge_prefixes``,
+which keeps a prefix only while a table of reachable counts says it can
+still end in one mass.
 
 The search is pure and single-threaded; the memo table is an ordinary
 dict whose values are idempotent, so concurrent evaluation would only
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import ChannelProfile, Distribution, NATS_EPS
@@ -73,28 +76,39 @@ def step_class(profile: ChannelProfile, k: int, first: bool) -> tuple[int, int]:
     raise ValueError(f"no channel of alphabet size {k} for a later-round merge")
 
 
-def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int, ...]]:
-    """All merge sequences that reduce m masses to one, in lexicographic order.
+def merge_prefixes(m: int, profile: ChannelProfile) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every prefix of an admissible merge sequence and the masses it leaves, in lexicographic order.
 
     The first round may merge any 2..q_n masses (padding the rest of the
     chosen channel's slots); later rounds merge exactly some channel's
-    alphabet size. Prefixes that cannot reach a single mass are dropped.
-    For two channels of sizes 2 and 3 the count grows like the Fibonacci
-    numbers.
+    alphabet size. A prefix is walked only if later rounds can take the
+    count it leaves down to one mass, so the prefixes leaving one mass are
+    the admissible sequences. The walk is depth-first and yields a prefix
+    before its extensions.
     """
     if m < 2:
         raise ValueError("need at least two masses to merge")
     inner_ks = sorted(set(profile.sizes), reverse=True)
-    out: list[tuple[int, ...]] = []
-    # (masses left, prefix), pushed largest merge first so the smallest pops first
-    stack = [(m - k + 1, (k,)) for k in range(min(profile.sizes[-1], m), 1, -1)]
+    # reachable[c]: later rounds can merge c masses down to one
+    reachable = [False, True]
+    for c in range(2, m):
+        reachable.append(any(reachable[c - k + 1] for k in inner_ks if k <= c))
+    # pushed largest merge first so the smallest pops first
+    stack = [((k,), m - k + 1) for k in range(min(profile.sizes[-1], m), 1, -1)]
     while stack:
-        count, prefix = stack.pop()
-        if count == 1:
-            out.append(prefix)
-        else:
-            stack.extend((count - k + 1, prefix + (k,)) for k in inner_ks if k <= count)
-    return out
+        prefix, count = stack.pop()
+        if reachable[count]:
+            yield prefix, count
+            stack.extend((prefix + (k,), count - k + 1) for k in inner_ks if k <= count)
+
+
+def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int, ...]]:
+    """All merge sequences that reduce m masses to one, in lexicographic order.
+
+    For two channels of sizes 2 and 3 the count grows like the Fibonacci
+    numbers.
+    """
+    return [prefix for prefix, count in merge_prefixes(m, profile) if count == 1]
 
 
 def merge_smallest(items: list, k: int, merged) -> None:

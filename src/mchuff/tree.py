@@ -3,7 +3,9 @@
 An internal node of class ``i`` reads one symbol from channel ``i`` and
 has exactly ``q_i`` child slots; unused slots hold explicit dummy leaves
 so Kraft accounting stays visible. Nodes are frozen dataclasses, so trees
-are immutable and safe to share.
+are immutable and safe to share. Codewords come from one iterative walk,
+``leaf_codewords``, which carries each node's per-channel digit strings
+down the tree.
 """
 
 from __future__ import annotations
@@ -66,17 +68,6 @@ class Codebook:
         )
 
 
-def _leaf_symbols(node: Node) -> list[int]:
-    if isinstance(node, Leaf):
-        return [node.symbol]
-    if isinstance(node, Internal):
-        out: list[int] = []
-        for c in node.children:
-            out.extend(_leaf_symbols(c))
-        return out
-    return []
-
-
 def validate_tree(root: Node, profile, m: int) -> list[str]:
     """Check structural invariants; returns violations with node paths (empty list = valid)."""
     sizes = as_sizes(profile)
@@ -98,7 +89,7 @@ def validate_tree(root: Node, profile, m: int) -> list[str]:
         if isinstance(node, Internal):
             if not 0 <= node.class_index < len(sizes):
                 violations.append(f"{path}: class {node.class_index} out of range for {len(sizes)} channels")
-                return bool(_leaf_symbols(node))
+                return count_leaves(node) > 0
             q = sizes[node.class_index]
             if len(node.children) != q:
                 violations.append(
@@ -134,6 +125,43 @@ def count_leaves(root: Node) -> int:
     return count
 
 
+def leaf_codewords(
+    root: Node, sizes: Sequence[int], m: int
+) -> tuple[list[tuple[str, ...]], list[int], list[int]]:
+    """Per-channel digit strings along each root-to-leaf path, in one walk without recursion.
+
+    ``root`` must hold leaves for exactly the symbols 0..m-1. Returns the
+    codewords indexed by symbol, each leaf's depth (the digits read on all
+    channels) and the padding leaves' depths. A child's string on its
+    parent's channel is the parent's plus one digit; alphabets above 36
+    put a comma before every digit but a string's first.
+    """
+    labels: list = [None] * len(sizes)  # per channel: labels of a first digit and of later ones
+    words: list[tuple[str, ...]] = [()] * m
+    depths = [0] * m
+    dummy_depths: list[int] = []
+    stack = [(root, 0, ("",) * len(sizes))]
+    while stack:
+        node, depth, word = stack.pop()
+        if type(node) is Leaf:
+            words[node.symbol] = word
+            depths[node.symbol] = depth
+        elif type(node) is DummyLeaf:
+            dummy_depths.append(depth)
+        else:
+            i = node.class_index
+            if labels[i] is None:
+                first = [digits.render((d,), sizes[i]) for d in range(sizes[i])]
+                labels[i] = first, first if sizes[i] <= 36 else ["," + label for label in first]
+            head, digits_so_far, tail = word[:i], word[i], word[i + 1:]
+            depth += 1
+            stack += [
+                (child, depth, head + (digits_so_far + label,) + tail)
+                for child, label in zip(node.children, labels[i][1 if digits_so_far else 0])
+            ]
+    return words, depths, dummy_depths
+
+
 def codebook_from_tree(root: Node, profile) -> Codebook:
     """Concatenate branch digits per channel along each root-to-leaf path.
 
@@ -145,32 +173,23 @@ def codebook_from_tree(root: Node, profile) -> Codebook:
     problems = validate_tree(root, sizes, m)
     if problems:
         raise ValueError("invalid decoding tree: " + problems[0])
-    words: dict[int, tuple[str, ...]] = {}
-
-    def walk(node: Node, acc: tuple[tuple[int, ...], ...]) -> None:
-        if isinstance(node, Leaf):
-            words[node.symbol] = tuple(digits.render(acc[i], sizes[i]) for i in range(len(sizes)))
-        elif isinstance(node, Internal):
-            for digit, child in enumerate(node.children):
-                nxt = list(acc)
-                nxt[node.class_index] = acc[node.class_index] + (digit,)
-                walk(child, tuple(nxt))
-
-    walk(root, tuple(() for _ in sizes))
-    return Codebook(words=tuple(words[j] for j in range(m)), sizes=sizes)
+    words, _, _ = leaf_codewords(root, sizes, m)
+    return Codebook(words=tuple(words), sizes=sizes)
 
 
 def _post_order(root: Node, dist: Distribution, visit, paths: bool = False) -> None:
     """Call ``visit(path, weight, child weights)`` at each internal node, in post-order.
 
     Weights are ints over ``dist.scale``; paths are built only if ``paths`` is set.
+    A leaf set other than the distribution's symbols raises after the walk,
+    in which out-of-range symbols weigh 0.
     """
-    if sorted(_leaf_symbols(root)) != list(range(dist.m)):
-        raise ValueError("tree leaves do not match the distribution's symbols")
+    symbols: list[int] = []
 
     def walk(node: Node, path: str) -> int:
         if isinstance(node, Leaf):
-            return dist.weights[node.symbol]
+            symbols.append(node.symbol)
+            return dist.weights[node.symbol] if 0 <= node.symbol < dist.m else 0
         if isinstance(node, DummyLeaf):
             return 0
         child_weights = []
@@ -181,6 +200,8 @@ def _post_order(root: Node, dist: Distribution, visit, paths: bool = False) -> N
         return s
 
     walk(root, "root")
+    if sorted(symbols) != list(range(dist.m)):
+        raise ValueError("tree leaves do not match the distribution's symbols")
 
 
 def expected_length(root: Node, dist: Distribution) -> float:

@@ -25,6 +25,7 @@ from mchuff import (
     Distribution,
     DummyLeaf,
     Internal,
+    Leaf,
     build_single_huffman,
     codebook_from_tree,
     dummy_bound,
@@ -36,6 +37,7 @@ from mchuff import (
     pruned_search,
     replay_sequence,
 )
+from mchuff import digits
 from mchuff.cli import main as cli_main
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
@@ -115,6 +117,32 @@ def dummy_length_tuples(root, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def reference_codewords(root, sizes) -> tuple[dict[int, tuple[str, ...]], list[int]]:
+    """Codewords by symbol and padding-leaf depths, read off a tree by recursion.
+
+    The extractor ``codebook_from_tree`` used before its one iterative
+    walk, kept as the reference that walk is checked against: every node
+    copies its per-channel digit tuples, and every leaf renders them.
+    A padding leaf's depth counts the digits read on all channels.
+    """
+    words: dict[int, tuple[str, ...]] = {}
+    dummy_depths: list[int] = []
+
+    def walk(node, acc: tuple[tuple[int, ...], ...]) -> None:
+        if isinstance(node, Leaf):
+            words[node.symbol] = tuple(digits.render(acc[i], sizes[i]) for i in range(len(sizes)))
+        elif isinstance(node, DummyLeaf):
+            dummy_depths.append(sum(len(a) for a in acc))
+        else:
+            for digit, child in enumerate(node.children):
+                nxt = list(acc)
+                nxt[node.class_index] = acc[node.class_index] + (digit,)
+                walk(child, tuple(nxt))
+
+    walk(root, tuple(() for _ in sizes))
+    return words, dummy_depths
+
+
 def count_dummies(root) -> int:
     if isinstance(root, DummyLeaf):
         return 1
@@ -183,6 +211,25 @@ def brute_force_oracle(dist: Distribution, profile: ChannelProfile, max_m: int =
             if value < best:
                 best = value
     return best
+
+
+def brute_force_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int, ...]]:
+    """Admissible merge sequences for m masses, sorted, by filtering compositions.
+
+    Rounds merging k_1..k_r masses take m masses to one when the k_t - 1
+    add up to m - 1, so the k_t - 2 are a composition of m - 1 - r into r
+    parts. Such a sequence is admissible when k_1 <= q_n and every later
+    k_t is an alphabet size; each round then has enough masses, because
+    1 + sum over s >= t of (k_s - 1) are left before round t.
+    """
+    sizes = set(profile.sizes)
+    out = []
+    for r in range(1, m):
+        for parts in _compositions(m - 1 - r, r):
+            seq = tuple(part + 2 for part in parts)
+            if seq[0] <= profile.sizes[-1] and all(k in sizes for k in seq[1:]):
+                out.append(seq)
+    return sorted(out)
 
 
 def _compositions(total: int, parts: int):

@@ -268,6 +268,20 @@ class TestCodecCommands:
         assert main([command, str(book), str(data)]) == 2
         assert f"words[{bad}]" in capsys.readouterr().err
 
+    def test_noncanonical_large_alphabet_codebook_exits_2(self, tmp_path, capsys):
+        words = [["", "+0"], ["1", "1"], ["0", " 2"]]
+        book = write_json(tmp_path / "cb.json", {"channels": [2, 40], "words": words})
+        (tmp_path / "syms.txt").write_text("0 1 2\n")
+        assert main(["encode", str(book), str(tmp_path / "syms.txt")]) == 2
+        assert "'+0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream, code", [("0,1,2", 0), ("+0,1, 2", 3), ("00,1", 3)])
+    def test_noncanonical_large_alphabet_stream_exits_3(self, tmp_path, capsys, stream, code):
+        words = [["", "0"], ["", "1"], ["", "2"]]
+        book = write_json(tmp_path / "cb.json", {"channels": [2, 40], "words": words})
+        write_json(tmp_path / "streams.json", {"streams": ["", stream]})
+        assert main(["decode", str(book), str(tmp_path / "streams.json")]) == code
+
     def test_missing_symbols_file_exits_2(self, tmp_path, capsys):
         out = self.build(tmp_path)
         assert main(["encode", str(out / "codebook.json"), str(tmp_path / "missing.txt")]) == 2

@@ -6,6 +6,8 @@ from mchuff import (
     CorruptionError,
     DegenerateCodeError,
     Distribution,
+    DummyLeaf,
+    Internal,
     Leaf,
     TrailingDataError,
     TruncationError,
@@ -16,6 +18,7 @@ from mchuff import (
     prefix_free,
     replay_sequence,
 )
+from mchuff import digits
 
 from helpers import PROFILES, make_rng, random_distribution, random_tree
 
@@ -128,3 +131,28 @@ class TestDecode:
             for _ in range(10):
                 seq = [rng.randrange(dist.m) for _ in range(rng.randint(0, 60))]
                 assert decode(result.tree, encode(cb, seq)) == seq
+
+
+# digit lists render never writes; int() reads every token of the first ten
+NONCANONICAL = ["+3", " 3", "3 ", "1_0", "07", "00", "-0", "\uff13", "1,+0", "1, 2", "1,", ",1", "1,,2"]
+# reads channel 1 (q = 40) once: digits 0..2 are symbols 0..2, the rest padding
+FORTY_TREE = Internal(1, (Leaf(0), Leaf(1), Leaf(2)) + (DummyLeaf(),) * 37)
+
+
+class TestLargeAlphabetDigits:
+    def test_parse_reads_what_render_writes(self):
+        for values in [(0,), (39,), (10, 0, 39, 7)]:
+            assert digits.parse(digits.render(values, 40), 40) == values
+        assert decode(FORTY_TREE, ("", "0,1,2")) == [0, 1, 2]
+
+    @pytest.mark.parametrize("text", NONCANONICAL)
+    def test_parse_rejects_noncanonical_tokens(self, text):
+        with pytest.raises(ValueError, match="invalid digit"):
+            digits.parse(text, 40)
+        with pytest.raises(ValueError):
+            Codebook(words=(("", text),), sizes=(2, 40))
+
+    @pytest.mark.parametrize("text", NONCANONICAL)
+    def test_decode_reports_noncanonical_stream_as_corrupt(self, text):
+        with pytest.raises(CorruptionError):
+            decode(FORTY_TREE, ("", text))

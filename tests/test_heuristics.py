@@ -4,15 +4,13 @@ from mchuff import (
     METRICS,
     ChannelProfile,
     Distribution,
-    apply_merge,
     construct,
     huffman_expected_length,
-    initial_state,
-    metric_value,
     optimal_search,
     pruned_search,
     suboptimal_build,
 )
+from mchuff.heuristics import apply_merge, initial_state, metric_value
 
 from helpers import PROFILES, make_rng, random_distribution
 from expected_tables import (

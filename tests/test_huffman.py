@@ -18,7 +18,9 @@ from mchuff import (
     trivial_extension,
 )
 
-from helpers import make_rng, random_distribution
+from mchuff import digits, replay_sequence
+
+from helpers import make_rng, random_distribution, reference_codewords
 
 
 def kraft_feasible_minimum(dist: Distribution, q: int) -> float:
@@ -198,3 +200,17 @@ class TestTrivialExtension:
         )
         assert total == pytest.approx(1.38629436112, abs=1e-9)
         assert total == pytest.approx(code.expected_length, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 40])
+def test_codewords_match_recursive_reference(q):
+    rng = make_rng(f"huffman-walk-{q}")
+    profile = ChannelProfile.from_sizes((q,))
+    for _ in range(25):
+        dist = random_distribution(rng, rng.randint(1, 90))
+        code = build_single_huffman(dist, q)
+        root, _ = replay_sequence(dist, profile, huffman_merge_sequence(dist.m, q))
+        words, dummy_depths = reference_codewords(root, (q,))
+        assert code.codewords == tuple(words[j][0] for j in range(dist.m))
+        assert code.lengths == tuple(digits.length(word, q) for word in code.codewords)
+        assert sorted(code.dummy_lengths) == sorted(dummy_depths)

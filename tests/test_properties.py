@@ -30,6 +30,7 @@ from mchuff import (
     suboptimal_build,
     tree_to_obj,
 )
+from mchuff import digits
 from mchuff.cli import main as cli_main
 from mchuff.huffman import huffman_merged_total
 from mchuff.tree import tree_to_json
@@ -49,6 +50,27 @@ rounded_sources = normalized.map(
     lambda ps: Distribution.from_masses([f"{float(p):.12f}" for p in ps])
 )
 profiles = st.sampled_from(GOLDEN_SEARCH_CHANNELS).map(ChannelProfile.from_sizes)
+
+
+# comma-separated decimal tokens, some with a sign, space, underscore, leading zero or
+# full-width digit, and strings of base-36 characters
+decimal_tokens = st.one_of(
+    st.integers(0, 39).map(str), st.text(alphabet="0123456789+- _\uff13", min_size=1, max_size=3)
+)
+digit_texts = st.one_of(
+    st.lists(decimal_tokens, min_size=1, max_size=4).map(",".join),
+    st.text(alphabet="0123456789az,", max_size=8),
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.sampled_from([2, 10, 36, 37, 40, 1000]), digit_texts)
+def test_accepted_digit_texts_render_back(q, text):
+    try:
+        values = digits.parse(text, q)
+    except ValueError:
+        return
+    assert digits.render(values, q) == text
 
 
 @PROPERTY_SETTINGS

@@ -19,11 +19,14 @@ from mchuff import (
     expected_length,
     huffman_expected_length,
     optimal_search,
+    pruned_search,
     replay_sequence,
 )
+from mchuff.search import merge_prefixes
 
 from helpers import (
     PROFILES,
+    brute_force_merge_sequences,
     brute_force_oracle,
     make_rng,
     random_distribution,
@@ -62,6 +65,32 @@ class TestEnumerateMergeSequences:
         assert seqs == [(2, 4), (3, 3)]
         for seq in seqs:
             assert 5 - sum(k - 1 for k in seq) == 1
+
+
+# (3, 4), (3, 5), (4,) and (4, 6) strand some mass counts; (2, 3) and (2, 3, 5) strand none
+WALK_CHANNELS = [(3, 4), (3, 5), (4,), (4, 6), (2, 3), (2, 3, 5)]
+
+
+class TestMergePrefixes:
+    @pytest.mark.parametrize("sizes", WALK_CHANNELS)
+    def test_walks_exactly_the_prefixes_of_the_sequences(self, sizes):
+        profile = ChannelProfile.from_sizes(sizes)
+        rng = make_rng(f"merge-prefixes-{sizes}")
+        for m in range(2, 15):
+            seqs = enumerate_merge_sequences(m, profile)
+            walked = list(merge_prefixes(m, profile))
+            prefixes = {seq[:t] for seq in seqs for t in range(1, len(seq) + 1)}
+            assert [prefix for prefix, _ in walked] == sorted(prefixes)
+            assert all(count == m - sum(k - 1 for k in prefix) for prefix, count in walked)
+            if m <= 10:
+                result, _ = pruned_search(random_distribution(rng, m), profile, "entropy")
+                assert result.subproblem_count == len(prefixes)
+
+    @pytest.mark.parametrize("sizes", WALK_CHANNELS)
+    def test_sequences_match_brute_force(self, sizes):
+        profile = ChannelProfile.from_sizes(sizes)
+        for m in range(2, 15):
+            assert enumerate_merge_sequences(m, profile) == brute_force_merge_sequences(m, profile)
 
 
 class TestOptimalSearch:

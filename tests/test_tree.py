@@ -32,7 +32,7 @@ from mchuff import (
     tree_to_obj,
     validate_tree,
 )
-from mchuff.tree import tree_to_json
+from mchuff.tree import leaf_codewords, tree_to_json
 
 from helpers import (
     GEOMETRIC_1200,
@@ -41,6 +41,7 @@ from helpers import (
     make_rng,
     random_distribution,
     random_tree,
+    reference_codewords,
     tree_results_tsv,
 )
 
@@ -109,6 +110,34 @@ class TestCodebookFromTree:
             root, _ = random_tree(rng, dist, profile)
             cb = codebook_from_tree(root, profile)
             assert prefix_free(cb) is None
+
+
+class TestCodewordWalk:
+    @pytest.mark.parametrize("sizes", [(2, 40), (40, 3), (5, 2, 3), (2, 2, 3)])
+    def test_codebook_matches_recursive_reference(self, sizes):
+        rng = make_rng(f"codeword-walk-{sizes}")
+        profile = ChannelProfile.from_sizes(sizes)
+        padded = 0
+        for _ in range(25):
+            dist = random_distribution(rng, rng.randint(2, 60))
+            root, steps = random_tree(rng, dist, profile)
+            padded += steps[0].dummies > 0
+            words, _ = reference_codewords(root, profile.sizes)
+            assert codebook_from_tree(root, profile).words == tuple(words[j] for j in range(dist.m))
+        # a first merge of k masses pads unless some alphabet has exactly k letters
+        assert padded or set(sizes) >= set(range(2, max(sizes) + 1))
+
+    def test_large_alphabet_digit_after_another_channel(self):
+        # the 40-ary channel reads a digit, the binary one reads one, then the 40-ary one again
+        pad = (DummyLeaf(),) * 38
+        inner = Internal(1, (Leaf(0), Leaf(1)) + pad)
+        root = Internal(1, (Internal(0, (inner, Leaf(2))), Leaf(3)) + pad)
+        profile = ChannelProfile.from_sizes((2, 40))
+        words, dummy_depths = reference_codewords(root, profile.sizes)
+        expected = (("0", "0,0"), ("0", "0,1"), ("1", "0"), ("", "1"))
+        assert tuple(words[j] for j in range(4)) == expected
+        assert codebook_from_tree(root, profile).words == expected
+        assert sorted(leaf_codewords(root, profile.sizes, 4)[2]) == sorted(dummy_depths)
 
 
 class TestExpectedLength:
