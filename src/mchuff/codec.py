@@ -33,10 +33,7 @@ def prefix_free(cb: Codebook) -> tuple[int, int] | None:
     i.e. neither component there is a prefix of the other. Cost is
     O(m^2 * n * max length).
     """
-    parsed = [
-        tuple(digits.parse(comp, q) for comp, q in zip(word, cb.sizes))
-        for word in cb.words
-    ]
+    parsed = cb.parsed
     for j1 in range(len(parsed)):
         for j2 in range(j1 + 1, len(parsed)):
             if not _separated(parsed[j1], parsed[j2]):

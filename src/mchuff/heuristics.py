@@ -69,9 +69,10 @@ def apply_merge(state: MergeState, k: int, profile: ChannelProfile) -> MergeStat
     merged = sum(picked)
     s = merged / scale
     added_length = s * math.log(q)
-    # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children
-    added_red = added_length - s * math.log(s) + ordered_sum(
-        c / scale * math.log(c / scale) for c in picked
+    # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children;
+    # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
+    added_red = added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
+        f * math.log(f) for c in picked if (f := c / scale)
     )
     rest = list(state.weights)
     merge_smallest(rest, k, merged)

@@ -10,9 +10,9 @@ is held as the integer weights of ``Distribution.weights``, all over the
 one denominator ``Distribution.scale``: memo keys are int tuples, a cost
 is ``merged / scale * ln q``, and every merge in the package (searches,
 replays into trees, Huffman totals) goes through ``merge_smallest``.
-Admissible sequences come from one depth-first walk, ``merge_prefixes``,
-which keeps a prefix only while a table of reachable counts says it can
-still end in one mass.
+Which merges are admissible is stated once, in the table ``merge_options``,
+which lists a merge only if the count it leaves can still end in one mass;
+``optimal_search`` and the depth-first walk ``merge_prefixes`` follow it.
 
 The search is pure and single-threaded; the memo table is an ordinary
 dict whose values are idempotent, so concurrent evaluation would only
@@ -76,30 +76,48 @@ def step_class(profile: ChannelProfile, k: int, first: bool) -> tuple[int, int]:
     raise ValueError(f"no channel of alphabet size {k} for a later-round merge")
 
 
-def merge_prefixes(m: int, profile: ChannelProfile) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every prefix of an admissible merge sequence and the masses it leaves, in lexicographic order.
+def merge_options(
+    m: int, profile: ChannelProfile
+) -> tuple[list[tuple[int, float]], list[list[tuple[int, float]]]]:
+    """The admissible merges: the first round's on m masses, and a later round's on each count.
 
-    The first round may merge any 2..q_n masses (padding the rest of the
-    chosen channel's slots); later rounds merge exactly some channel's
-    alphabet size. A prefix is walked only if later rounds can take the
-    count it leaves down to one mass, so the prefixes leaving one mass are
-    the admissible sequences. The walk is depth-first and yields a prefix
-    before its extensions.
+    Returns ``(first, later)`` with ``later[c]`` for c < m; every merge is
+    a ``(k, ln q)`` pair, in increasing k, for the channel of alphabet q it
+    uses. The first round may merge any 2..q_n masses, padding the smallest
+    channel that fits; later rounds merge exactly some channel's alphabet
+    size. A merge is listed only if later rounds can take the count it
+    leaves down to one mass. This table is the one place the package
+    states which merges are admissible.
     """
     if m < 2:
         raise ValueError("need at least two masses to merge")
-    inner_ks = sorted(set(profile.sizes), reverse=True)
-    # reachable[c]: later rounds can merge c masses down to one
-    reachable = [False, True]
+    inner = [(k, math.log(k)) for k in sorted(set(profile.sizes))]
+    # merging all c masses ends a sequence; otherwise the c - k + 1 left need a listed merge
+    later: list[list[tuple[int, float]]] = [[], []]
     for c in range(2, m):
-        reachable.append(any(reachable[c - k + 1] for k in inner_ks if k <= c))
+        later.append([(k, ln_q) for k, ln_q in inner if k == c or k < c and later[c - k + 1]])
+    first = [
+        (k, math.log(profile.sizes[step_class(profile, k, first=True)[0]]))
+        for k in range(2, min(profile.sizes[-1], m) + 1)
+        if k == m or later[m - k + 1]
+    ]
+    return first, later
+
+
+def merge_prefixes(m: int, profile: ChannelProfile) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every prefix of an admissible merge sequence and the masses it leaves, in lexicographic order.
+
+    The walk follows ``merge_options``, so every prefix can still end in
+    one mass and the prefixes leaving one mass are the admissible
+    sequences. It is depth-first and yields a prefix before its extensions.
+    """
+    first, later = merge_options(m, profile)
     # pushed largest merge first so the smallest pops first
-    stack = [((k,), m - k + 1) for k in range(min(profile.sizes[-1], m), 1, -1)]
+    stack = [((k,), m - k + 1) for k, _ in reversed(first)]
     while stack:
         prefix, count = stack.pop()
-        if reachable[count]:
-            yield prefix, count
-            stack.extend((prefix + (k,), count - k + 1) for k in inner_ks if k <= count)
+        yield prefix, count
+        stack.extend((prefix + (k,), count - k + 1) for k, _ in reversed(later[count]))
 
 
 def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int, ...]]:
@@ -128,58 +146,38 @@ def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
 
     Subproblems are memoized on the exact sorted multiset of remaining
     integer weights; below the first round no dummies are needed, so one
-    table suffices. Ties within NATS_EPS resolve to the lexicographically
-    smallest sequence (smaller merge count first). With a single channel
-    this reproduces the classic Huffman code.
+    table suffices. The merges tried come from ``merge_options``, so every
+    subproblem can be finished. Ties within NATS_EPS resolve to the
+    lexicographically smallest sequence (smaller merge count first). With
+    a single channel this reproduces the classic Huffman code.
     """
     if dist.m == 1:
         return SearchResult(tree=Leaf(0), steps=(), expected_length=0.0, subproblem_count=0)
 
-    inner_ks = sorted(set(profile.sizes))
-    logs = {k: math.log(k) for k in inner_ks}
+    first, later = merge_options(dist.m, profile)
     scale = dist.scale
-    memo: dict[tuple[int, ...], tuple[float, tuple[int, ...] | None]] = {}
+    # the one mass every sequence ends in costs nothing more
+    memo: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {(scale,): (0.0, ())}
 
-    def inner(masses: tuple[int, ...]) -> tuple[float, tuple[int, ...] | None]:
-        if len(masses) == 1:
-            return 0.0, ()
-        hit = memo.get(masses)
-        if hit is not None:
-            return hit
+    def solve(masses: tuple[int, ...], options: list[tuple[int, float]]) -> tuple[float, tuple[int, ...]]:
         best = math.inf
-        best_seq: tuple[int, ...] | None = None
-        for k in inner_ks:
-            if k > len(masses):
-                break
+        best_seq: tuple[int, ...] = ()
+        for k, ln_q in options:
             merged = sum(masses[:k])
             rest = list(masses)
             merge_smallest(rest, k, merged)
-            sub, seq = inner(tuple(rest))
-            if seq is None:
-                continue
-            cand = sub + merged / scale * logs[k]
+            key = tuple(rest)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = solve(key, later[len(key)])
+            cand = hit[0] + merged / scale * ln_q
             if cand < best - NATS_EPS:
-                best, best_seq = cand, (k,) + seq
-        memo[masses] = (best, best_seq)
+                best, best_seq = cand, (k,) + hit[1]
         return best, best_seq
 
-    best = math.inf
-    best_seq: tuple[int, ...] | None = None
-    for k in range(2, min(profile.sizes[-1], dist.m) + 1):
-        ci, _ = step_class(profile, k, first=True)
-        merged = sum(dist.weights[:k])
-        rest = list(dist.weights)
-        merge_smallest(rest, k, merged)
-        sub, seq = inner(tuple(rest))
-        if seq is None:
-            continue
-        cand = sub + merged / scale * math.log(profile.sizes[ci])
-        if cand < best - NATS_EPS:
-            best, best_seq = cand, (k,) + seq
-    if best_seq is None:
-        raise RuntimeError("no feasible merge sequence found")
+    best, best_seq = solve(dist.weights, first)
     root, steps = replay_sequence(dist, profile, best_seq)
-    return SearchResult(tree=root, steps=steps, expected_length=best, subproblem_count=len(memo))
+    return SearchResult(tree=root, steps=steps, expected_length=best, subproblem_count=len(memo) - 1)
 
 
 def replay_sequence(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import digits
 from .core import Distribution, as_sizes, entropy, ordered_sum
@@ -39,19 +39,24 @@ Node = Internal | Leaf | DummyLeaf
 
 @dataclass(frozen=True)
 class Codebook:
-    """Per-symbol codewords; ``words[j][i]`` is symbol j's digits on channel i."""
+    """Per-symbol codewords; ``words[j][i]`` is symbol j's digits on channel i.
+
+    ``parsed[j][i]`` holds the same digits as ints, parsed once on construction.
+    """
 
     words: tuple[tuple[str, ...], ...]
     sizes: tuple[int, ...]
+    parsed: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        parsed = []
         for j, word in enumerate(self.words):
             if len(word) != len(self.sizes):
                 raise ValueError(f"word {j} has {len(word)} components for {len(self.sizes)} channels")
-            for comp, q in zip(word, self.sizes):
-                digits.parse(comp, q)
+            parsed.append(tuple(map(digits.parse, word, self.sizes)))
         if any(q < 2 for q in self.sizes):
             raise ValueError("every channel alphabet size must be at least 2")
+        object.__setattr__(self, "parsed", tuple(parsed))
 
     @property
     def m(self) -> int:
@@ -62,10 +67,7 @@ class Codebook:
         return len(self.sizes)
 
     def length_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(digits.length(comp, q) for comp, q in zip(word, self.sizes))
-            for word in self.words
-        )
+        return tuple(tuple(map(len, word)) for word in self.parsed)
 
 
 def validate_tree(root: Node, profile, m: int) -> list[str]:
@@ -296,10 +298,7 @@ def tree_from_two_channel_prefix(cb: Codebook) -> Node:
         raise ValueError(f"tree construction needs exactly 2 channels, got {cb.n}")
     if cb.m == 0:
         raise ValueError("empty codebook")
-    items = [
-        (j, (digits.parse(word[0], cb.sizes[0]), digits.parse(word[1], cb.sizes[1])))
-        for j, word in enumerate(cb.words)
-    ]
+    items = list(enumerate(cb.parsed))
 
     def stuck_pair(group) -> tuple[int, int]:
         fully_empty = [j for j, comps in group if not comps[0] and not comps[1]]

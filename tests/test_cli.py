@@ -150,8 +150,9 @@ class TestTooDeep:
         [
             ["build", "{dist}", "--method", "single=1", "--out-dir", "{out}"],
             ["build", "{dist}", "--method", "optimal", "--out-dir", "{out}"],
+            ["build", "{dist}", "--method", "prune=redundancy", "--out-dir", "{out}"],
         ],
-        ids=["build-single", "build-optimal"],
+        ids=["build-single", "build-optimal", "build-prune"],
     )
     def test_exits_2_without_traceback(self, tmp_path, capsys, argv):
         dist = write_json(tmp_path / "d.json", {"masses": GEOMETRIC_1200, "channels": [2]})

@@ -12,7 +12,7 @@ from mchuff import (
 )
 from mchuff.heuristics import apply_merge, initial_state, metric_value
 
-from helpers import PROFILES, make_rng, random_distribution
+from helpers import GEOMETRIC_1200, PROFILES, make_rng, random_distribution
 from expected_tables import (
     BENCHMARK_CHANNELS,
     BENCHMARK_MASSES,
@@ -115,6 +115,13 @@ class TestPrunedSearchProperties:
             metric = METRICS[trial % len(METRICS)]
             pruned = pruned_search(dist, profile, metric)[0].expected_length
             assert best <= pruned + 1e-9
+
+    @pytest.mark.parametrize("metric", ["redundancy", "expected_length"])
+    def test_masses_below_float_range(self, metric):
+        # the last masses are 2**-1199, whose floats round to 0.0
+        dist = Distribution.from_masses(GEOMETRIC_1200)
+        result, _ = pruned_search(dist, ChannelProfile.from_sizes((2,)), metric)
+        assert result.sequence == (2,) * 1199
 
 
 class TestSuboptimalBuild:

@@ -33,6 +33,7 @@ from mchuff import (
 from mchuff import digits
 from mchuff.cli import main as cli_main
 from mchuff.huffman import huffman_merged_total
+from mchuff.search import merge_options
 from mchuff.tree import tree_to_json
 
 from helpers import GOLDEN_SEARCH_CHANNELS, dummy_length_tuples, heap_merged_total, random_tree
@@ -71,6 +72,14 @@ def test_accepted_digit_texts_render_back(q, text):
     except ValueError:
         return
     assert digits.render(values, q) == text
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.integers(2, 64), st.lists(st.integers(2, 16), min_size=1, max_size=4))
+def test_every_source_has_an_admissible_first_merge(m, sizes):
+    # the first round can pad: some k in 2..min(q, m) leaves a count q-ary merges finish
+    first, _ = merge_options(m, ChannelProfile.from_sizes(sizes))
+    assert first
 
 
 @PROPERTY_SETTINGS

@@ -22,7 +22,7 @@ from mchuff import (
     pruned_search,
     replay_sequence,
 )
-from mchuff.search import merge_prefixes
+from mchuff.search import merge_options, merge_prefixes
 
 from helpers import (
     PROFILES,
@@ -91,6 +91,42 @@ class TestMergePrefixes:
         profile = ChannelProfile.from_sizes(sizes)
         for m in range(2, 15):
             assert enumerate_merge_sequences(m, profile) == brute_force_merge_sequences(m, profile)
+
+
+class TestMergeOptions:
+    @pytest.mark.parametrize("sizes", WALK_CHANNELS + [(2,), (3,)])
+    def test_lists_exactly_the_merges_some_sequence_takes(self, sizes):
+        profile = ChannelProfile.from_sizes(sizes)
+        taken_later = set()
+        for m in range(2, 15):
+            seqs = brute_force_merge_sequences(m, profile)
+            for seq in seqs:
+                count = m - seq[0] + 1
+                for k in seq[1:]:
+                    taken_later.add((count, k))
+                    count -= k - 1
+            first, later = merge_options(m, profile)
+            first_ks = sorted({seq[0] for seq in seqs})
+            assert first == [(k, math.log(min(q for q in sizes if q >= k))) for k in first_ks]
+            # a merge at count c < m is taken by some sequence of c + 1 masses that first merges 2
+            assert len(later) == m
+            assert [(c, k) for c in range(m) for k, _ in later[c]] == sorted(taken_later)
+            assert all(ln_q == math.log(k) for options in later for k, ln_q in options)
+
+    @pytest.mark.parametrize("sizes", WALK_CHANNELS)
+    def test_subproblems_are_the_reduced_multisets(self, sizes):
+        profile = ChannelProfile.from_sizes(sizes)
+        rng = make_rng(f"optimal-subproblems-{sizes}")
+        for m in range(2, 11):
+            dist = random_distribution(rng, m)
+            multisets = set()
+            for prefix, count in merge_prefixes(m, profile):
+                if count > 1:
+                    items = list(dist.weights)
+                    for k in prefix:
+                        items = sorted(items[k:] + [sum(items[:k])])
+                    multisets.add(tuple(items))
+            assert optimal_search(dist, profile).subproblem_count == len(multisets)
 
 
 class TestOptimalSearch:

@@ -62,6 +62,17 @@ EXAMPLE_THREE_CHANNEL = Codebook(
 )
 
 
+class TestCodebook:
+    def test_digits_are_parsed_once_and_not_compared(self):
+        cb = Codebook(words=(("10", ""), ("", "0,39")), sizes=(2, 40))
+        assert cb.parsed == (((1, 0), ()), ((), (0, 39)))
+        assert cb.length_tuples() == ((2, 0), (0, 2))
+        assert cb == Codebook(words=(("10", ""), ("", "0,39")), sizes=(2, 40))
+        assert "parsed" not in repr(cb)
+        with pytest.raises(TypeError):
+            Codebook(words=(), sizes=(2,), parsed=())
+
+
 class TestValidateTree:
     def test_reference_tree_is_valid(self):
         assert validate_tree(TWO_SIXTHS_TREE, PROFILE_23, 4) == []
