@@ -44,7 +44,6 @@ from .huffman import (
 from .search import (
     MergeStep,
     SearchResult,
-    enumerate_merge_sequences,
     optimal_search,
     replay_sequence,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "dummy_count",
     "encode",
     "entropy",
-    "enumerate_merge_sequences",
     "expected_length",
     "huffman_expected_length",
     "huffman_merge_sequence",

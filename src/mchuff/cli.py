@@ -13,9 +13,12 @@ Channels appear in the caller's order everywhere; command output labels
 them 1-based. Symbol indices refer to masses sorted nondecreasing (the
 ``input_index`` field of a codebook maps them back to the input file).
 Exit codes: 0 ok, 2 bad input (including files that cannot be read or
-written, codebook words whose components are not digit strings, and
-inputs whose trees or searches nest too deeply for Python's recursion
-limit), 3 corrupt streams, 4 truncated streams.
+written, codebook words whose components are not digit strings,
+construction requests ``construct`` rejects, such as an unknown pruning
+metric, a pruned search on one mass or on more merge-sequence prefixes
+than ``heuristics.MAX_PREFIXES``, and inputs whose trees or searches nest
+too deeply for Python's recursion limit), 3 corrupt streams, 4 truncated
+streams.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .codec import (
     encode,
 )
 from .core import ChannelProfile, Distribution, entropy, kraft_sum
-from .heuristics import METRICS, construct
+from .heuristics import construct
 from .huffman import build_single_huffman, dummy_count
 from .search import SearchResult, merge_prefixes
 from .tree import (
@@ -131,23 +134,23 @@ def cmd_analyze(args) -> int:
 def _construct(dist: Distribution, profile: ChannelProfile, method: str) -> SearchResult:
     """Translate a ``--method`` value into a ``construct`` call."""
     if method in ("optimal", "suboptimal"):
-        return construct(dist, profile, method)
-    if method.startswith("prune="):
-        metric = method[len("prune="):]
-        if metric not in METRICS:
-            raise CliError(f"unknown pruning metric {metric!r}; choose one of {', '.join(METRICS)}")
-        if dist.m < 2:
-            raise CliError("pruned construction needs at least two masses")
-        return construct(dist, profile, "prune", metric=metric)
-    if method.startswith("single="):
+        kwargs = {}
+    elif method.startswith("prune="):
+        method, kwargs = "prune", {"metric": method[len("prune="):]}
+    elif method.startswith("single="):
         try:
             user_channel = int(method[len("single="):])
         except ValueError:
             raise CliError(f"method {method!r}: channel must be an integer") from None
         if not 1 <= user_channel <= profile.n:
             raise CliError(f"channel {user_channel} out of range 1..{profile.n}")
-        return construct(dist, profile, "single", channel=user_channel - 1)
-    raise CliError(f"unknown method {method!r}")
+        method, kwargs = "single", {"channel": user_channel - 1}
+    else:
+        raise CliError(f"unknown method {method!r}")
+    try:
+        return construct(dist, profile, method, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def cmd_build(args) -> int:

@@ -117,10 +117,7 @@ class MultiChannelHuffmanCoder:
             if any(w <= 0 for _, w in pairs):
                 raise ValueError("symbol weights must be positive")
         else:
-            counter: Counter = Counter()
-            for sym in X:
-                counter[sym] += 1
-            pairs = [(sym, Fraction(c)) for sym, c in counter.items()]
+            pairs = [(sym, Fraction(c)) for sym, c in Counter(X).items()]
         if not pairs:
             raise ValueError("cannot fit on an empty symbol sequence")
         if len(pairs) < 2:

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .core import ChannelProfile, Distribution, NATS_EPS, entropy, ordered_sum
 from .huffman import huffman_merge_sequence, huffman_merged_total
 from .search import (
     SearchResult,
+    merge_options,
     merge_prefixes,
     merge_smallest,
     optimal_search,
     replay_sequence,
-    step_class,
 )
 from .tree import Leaf
 from .tree import expected_length as tree_expected_length
@@ -38,70 +39,40 @@ METRICS = (
     "huffman_completion",
 )
 
+#: Most merge-sequence prefixes ``pruned_search`` walks. A prefix's record and trace cells
+#: take about 1.25 kB (tracemalloc, channels (2, 3), m=24), so the cap is about 1.25 GB.
+MAX_PREFIXES = 10**6
 
-@dataclass(frozen=True)
-class MergeState:
-    """Partial construction: merges applied so far and the reduced multiset.
 
-    ``weights`` are the remaining masses as integers; mass ``c`` is the
-    probability ``c / scale``, with ``scale`` the source's ``Distribution.scale``.
+def _scorer(metric: str, profile: ChannelProfile, scale: int):
+    """The metric as a function of a prefix's (remaining weights, length, redundancy).
+
+    Weights are integers over ``scale``; lower is better for every metric.
     """
-
-    weights: tuple[int, ...]
-    scale: int
-    sequence: tuple[int, ...]
-    accumulated_length: float
-    accumulated_redundancy: float
-
-
-def initial_state(dist: Distribution) -> MergeState:
-    return MergeState(dist.weights, dist.scale, (), 0.0, 0.0)
-
-
-def apply_merge(state: MergeState, k: int, profile: ChannelProfile) -> MergeState:
-    """Merge the k smallest masses under the channel the search rules assign."""
-    if not 2 <= k <= len(state.weights):
-        raise ValueError(f"cannot merge {k} of {len(state.weights)} masses")
-    ci, _ = step_class(profile, k, first=not state.sequence)
-    q = profile.sizes[ci]
-    scale = state.scale
-    picked = state.weights[:k]
-    merged = sum(picked)
-    s = merged / scale
-    added_length = s * math.log(q)
-    # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children;
-    # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
-    added_red = added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
-        f * math.log(f) for c in picked if (f := c / scale)
-    )
-    rest = list(state.weights)
-    merge_smallest(rest, k, merged)
-    return MergeState(
-        tuple(rest),
-        scale,
-        state.sequence + (k,),
-        state.accumulated_length + added_length,
-        state.accumulated_redundancy + added_red,
-    )
-
-
-def metric_value(state: MergeState, metric: str, profile: ChannelProfile) -> float:
-    """Score a partial construction; lower is better for every metric."""
     if metric == "redundancy":
-        return state.accumulated_redundancy
+        return lambda weights, length, redundancy: redundancy
     if metric == "expected_length":
-        return state.accumulated_length
+        return lambda weights, length, redundancy: length
     if metric == "entropy":
-        return entropy([c / state.scale for c in state.weights])
+        return lambda weights, length, redundancy: entropy([c / scale for c in weights])
     if metric == "expected_plus_entropy":
-        return state.accumulated_length + entropy([c / state.scale for c in state.weights])
+        return lambda weights, length, redundancy: length + entropy([c / scale for c in weights])
     if metric == "huffman_completion":
-        best = min(
-            huffman_merged_total(state.weights, q) / state.scale * math.log(q)
-            for q in set(profile.sizes)
+        costs = [(q, math.log(q)) for q in set(profile.sizes)]
+        return lambda weights, length, redundancy: length + min(
+            huffman_merged_total(weights, q) / scale * ln_q for q, ln_q in costs
         )
-        return state.accumulated_length + best
     raise ValueError(f"unknown metric {metric!r}; choose one of {METRICS}")
+
+
+def prefix_count(first, later) -> int:
+    """How many prefixes ``merge_prefixes`` yields for the ``merge_options`` table ``(first, later)``."""
+    m = len(later)
+    # below[c]: the prefixes extending one that leaves c masses
+    below = [0] * m
+    for c in range(2, m):
+        below[c] = sum(1 + below[c - k + 1] for k, _ in later[c])
+    return sum(1 + below[m - k + 1] for k, _ in first)
 
 
 @dataclass
@@ -156,26 +127,53 @@ def pruned_search(
     every live state landing there is compared and only those within
     NATS_EPS of the minimum survive (ties are all retained). Final
     survivors are settled by realized expected length, then lexicographic
-    sequence order.
+    sequence order. Sources with more than ``MAX_PREFIXES`` merge-sequence
+    prefixes are refused with ``ValueError`` before the walk.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; choose one of {METRICS}")
+    score = _scorer(metric, profile, dist.scale)
     if dist.m < 2:
         raise ValueError("pruned search needs at least two masses")
-    # every prefix's state, built from its parent's; the walk is depth-first, so the parent ends ``path``
-    states = [initial_state(dist)]
-    parents = [0]
+    first, later = merge_options(dist.m, profile)
+    total = prefix_count(first, later)
+    if total > MAX_PREFIXES:
+        raise ValueError(
+            f"pruned search on {dist.m} masses would walk {Decimal(total):.2e} merge-sequence "
+            f"prefixes, more than {MAX_PREFIXES:,}"
+        )
+    first_ln_q = dict(first)
+    scale = dist.scale
+    # per prefix: (remaining weights, length, redundancy), its metric value and its parent's index;
+    # the walk is depth-first, so the parent ends ``path``
+    states = [(dist.weights, 0.0, 0.0)]
     values = [0.0]
+    parents = [0]
     by_count: dict[int, list[int]] = {}
+    complete: dict[int, tuple[int, ...]] = {}
     path = [0]
     for prefix, count in merge_prefixes(dist.m, profile):
         del path[len(prefix):]
-        parents.append(path[-1])
-        state = apply_merge(states[path[-1]], prefix[-1], profile)
-        path.append(len(states))
-        by_count.setdefault(count, []).append(len(states))
-        states.append(state)
-        values.append(metric_value(state, metric, profile))
+        parent = path[-1]
+        weights, length, redundancy = states[parent]
+        k = prefix[-1]
+        picked = weights[:k]
+        merged = sum(picked)
+        s = merged / scale
+        added_length = s * (first_ln_q[k] if len(prefix) == 1 else math.log(k))
+        # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children;
+        # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
+        added_red = added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
+            f * math.log(f) for c in picked if (f := c / scale)
+        )
+        rest = list(weights)
+        merge_smallest(rest, k, merged)
+        i = len(states)
+        states.append((tuple(rest), length + added_length, redundancy + added_red))
+        values.append(score(*states[i]))
+        parents.append(parent)
+        path.append(i)
+        by_count.setdefault(count, []).append(i)
+        if count == 1:
+            complete[i] = prefix
 
     # a prefix competes while its parent lives; died[i] is the count where it or an ancestor was pruned
     died: list[int | None] = [None] * len(states)
@@ -191,23 +189,20 @@ def pruned_search(
                 if values[i] > floor + NATS_EPS:
                     died[i] = c
 
-    complete = by_count[1]
-    pruned_at: dict[tuple[int, ...], int | None] = {}
+    pruned_at = {seq: died[i] for i, seq in complete.items()}
     cellvals: dict[tuple[tuple[int, ...], int], float] = {}
-    for i in complete:
-        seq = states[i].sequence
-        pruned_at[seq] = died[i]
+    for i, seq in complete.items():
         j = i
         while j:
-            cellvals[(seq, len(states[j].weights))] = values[j]
+            cellvals[(seq, len(states[j][0]))] = values[j]
             j = parents[j]
-    kept = [states[i] for i in complete if died[i] is None]
+    kept = [i for i in complete if died[i] is None]
     if not kept:
         raise RuntimeError("pruning eliminated every sequence")
     winner = kept[0]
-    for state in kept[1:]:
-        if state.accumulated_length < winner.accumulated_length - NATS_EPS:
-            winner = state
+    for i in kept[1:]:
+        if states[i][1] < states[winner][1] - NATS_EPS:
+            winner = i
 
     trace = TraceTable(
         metric=metric,
@@ -215,11 +210,11 @@ def pruned_search(
         counts=tuple(range(dist.m - 1, 0, -1)),
         values=cellvals,
         pruned_at=pruned_at,
-        survivors=tuple(state.sequence for state in kept),
-        winner=winner.sequence,
+        survivors=tuple(complete[i] for i in kept),
+        winner=complete[winner],
     )
-    root, steps = replay_sequence(dist, profile, winner.sequence)
-    return SearchResult(root, steps, winner.accumulated_length, len(states) - 1), trace
+    root, steps = replay_sequence(dist, profile, complete[winner])
+    return SearchResult(root, steps, states[winner][1], len(states) - 1), trace
 
 
 def suboptimal_build(dist: Distribution, profile: ChannelProfile) -> SearchResult:

@@ -120,15 +120,6 @@ def merge_prefixes(m: int, profile: ChannelProfile) -> Iterator[tuple[tuple[int,
         stack.extend((prefix + (k,), count - k + 1) for k, _ in reversed(later[count]))
 
 
-def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int, ...]]:
-    """All merge sequences that reduce m masses to one, in lexicographic order.
-
-    For two channels of sizes 2 and 3 the count grows like the Fibonacci
-    numbers.
-    """
-    return [prefix for prefix, count in merge_prefixes(m, profile) if count == 1]
-
-
 def merge_smallest(items: list, k: int, merged) -> None:
     """Replace the ``k`` smallest entries of the sorted list ``items`` by ``merged``, in place.
 

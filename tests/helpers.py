@@ -39,6 +39,7 @@ from mchuff import (
 )
 from mchuff import digits
 from mchuff.cli import main as cli_main
+from mchuff.search import merge_prefixes
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
 
@@ -211,6 +212,15 @@ def brute_force_oracle(dist: Distribution, profile: ChannelProfile, max_m: int =
             if value < best:
                 best = value
     return best
+
+
+def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int, ...]]:
+    """All merge sequences that reduce m masses to one, in lexicographic order.
+
+    The prefixes of ``merge_prefixes`` that leave one mass. For two
+    channels of sizes 2 and 3 the count grows like the Fibonacci numbers.
+    """
+    return [prefix for prefix, count in merge_prefixes(m, profile) if count == 1]
 
 
 def brute_force_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int, ...]]:

@@ -22,7 +22,6 @@ from mchuff import (
     decode,
     encode,
     entropy,
-    enumerate_merge_sequences,
     expected_length,
     huffman_expected_length,
     kraft_sum,
@@ -37,7 +36,14 @@ from mchuff import (
     tree_from_two_channel_prefix,
 )
 
-from helpers import PROFILES, brute_force_oracle, make_rng, random_distribution, random_tree
+from helpers import (
+    PROFILES,
+    brute_force_oracle,
+    enumerate_merge_sequences,
+    make_rng,
+    random_distribution,
+    random_tree,
+)
 from expected_tables import BENCHMARK_CHANNELS, BENCHMARK_MASSES, TRACES, WINNERS
 
 PROFILE_23 = ChannelProfile.from_sizes((2, 3))

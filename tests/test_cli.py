@@ -136,6 +136,22 @@ class TestBuild:
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert abs(stats["expected_length_nats"] - 1.32966134885) < 1e-9
 
+    @pytest.mark.parametrize(
+        "method, masses, message",
+        [
+            ("prune=entropy", ["1"], "at least two masses"),
+            ("prune=vibes", ["1/2", "1/2"], "unknown metric 'vibes'"),
+        ],
+        ids=["prune-one-mass", "prune-unknown-metric"],
+    )
+    def test_rejected_construction_exits_2(self, tmp_path, capsys, method, masses, message):
+        dist = write_json(tmp_path / "d.json", {"masses": masses, "channels": [2]})
+        assert main(["build", str(dist), "--method", method, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "tree.json").exists()
+
     def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", BENCHMARK)
         assert main(["build", str(dist), "--out-dir", str(dist)]) == 2
@@ -146,16 +162,18 @@ class TestTooDeep:
     """Inputs whose trees or merge sequences are 1,199 levels deep."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, channels",
         [
-            ["build", "{dist}", "--method", "single=1", "--out-dir", "{out}"],
-            ["build", "{dist}", "--method", "optimal", "--out-dir", "{out}"],
-            ["build", "{dist}", "--method", "prune=redundancy", "--out-dir", "{out}"],
+            (["build", "{dist}", "--method", "single=1", "--out-dir", "{out}"], [2]),
+            (["build", "{dist}", "--method", "optimal", "--out-dir", "{out}"], [2]),
+            (["build", "{dist}", "--method", "prune=redundancy", "--out-dir", "{out}"], [2]),
+            # about 7.1e250 merge-sequence prefixes, refused before the walk
+            (["build", "{dist}", "--method", "suboptimal", "--out-dir", "{out}"], [2, 3]),
         ],
-        ids=["build-single", "build-optimal", "build-prune"],
+        ids=["build-single", "build-optimal", "build-prune", "build-suboptimal-2-3"],
     )
-    def test_exits_2_without_traceback(self, tmp_path, capsys, argv):
-        dist = write_json(tmp_path / "d.json", {"masses": GEOMETRIC_1200, "channels": [2]})
+    def test_exits_2_without_traceback(self, tmp_path, capsys, argv, channels):
+        dist = write_json(tmp_path / "d.json", {"masses": GEOMETRIC_1200, "channels": channels})
         argv = [a.format(dist=dist, out=tmp_path / "out") for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -18,6 +18,12 @@ class TestFitTransform:
         assert coder.classes_[-1] == "a"
         assert set(coder.classes_) == {"a", "b", "c"}
 
+    def test_tied_counts_keep_first_seen_order(self):
+        coder = MultiChannelHuffmanCoder(channels=(2, 3)).fit("bbaacd")
+        assert coder.classes_ == ("c", "d", "b", "a")
+        coder = MultiChannelHuffmanCoder(channels=(2, 3)).fit(iter(["x", "y", "y", "x", "z"]))
+        assert coder.classes_ == ("z", "x", "y")
+
     def test_fit_from_weight_mapping(self):
         coder = MultiChannelHuffmanCoder(channels=(2, 3)).fit(
             {"x": 1, "y": 1, "z": 2, "w": 2}

@@ -10,7 +10,8 @@ from mchuff import (
     pruned_search,
     suboptimal_build,
 )
-from mchuff.heuristics import apply_merge, initial_state, metric_value
+from mchuff import heuristics
+from mchuff.search import merge_options
 
 from helpers import GEOMETRIC_1200, PROFILES, make_rng, random_distribution
 from expected_tables import (
@@ -26,31 +27,34 @@ PROFILE = ChannelProfile.from_sizes(BENCHMARK_CHANNELS)
 BENCHMARK = Distribution.from_masses(BENCHMARK_MASSES)
 
 
+def first_merge_value(metric, sequence, count):
+    """The metric after the first merge of ``sequence``, which leaves ``count`` masses."""
+    value, _ = pruned_search(BENCHMARK, PROFILE, metric)[1].cell(sequence, count)
+    return value
+
+
 class TestMetricValue:
     def test_values_after_first_merges(self):
-        after_two = apply_merge(initial_state(BENCHMARK), 2, PROFILE)
-        after_three = apply_merge(initial_state(BENCHMARK), 3, PROFILE)
-        assert metric_value(after_two, "expected_length", PROFILE) == pytest.approx(
+        assert first_merge_value("expected_length", (2, 2, 2, 2), 4) == pytest.approx(
             0.2280454224, abs=1e-9
         )
-        assert metric_value(after_three, "expected_length", PROFILE) == pytest.approx(
+        assert first_merge_value("expected_length", (3, 2, 2), 3) == pytest.approx(
             0.5943492482, abs=1e-9
         )
-        assert metric_value(after_two, "huffman_completion", PROFILE) == pytest.approx(
+        assert first_merge_value("huffman_completion", (2, 2, 2, 2), 4) == pytest.approx(
             1.6143397835, abs=1e-9
         )
 
     def test_entropy_and_sum_metrics(self):
-        state = apply_merge(initial_state(BENCHMARK), 2, PROFILE)
-        ent = metric_value(state, "entropy", PROFILE)
+        ent = first_merge_value("entropy", (2, 2, 2, 2), 4)
         assert ent == pytest.approx(1.3694953333, abs=1e-9)
-        assert metric_value(state, "expected_plus_entropy", PROFILE) == pytest.approx(
-            state.accumulated_length + ent, abs=1e-12
+        assert first_merge_value("expected_plus_entropy", (2, 2, 2, 2), 4) == pytest.approx(
+            first_merge_value("expected_length", (2, 2, 2, 2), 4) + ent, abs=1e-12
         )
 
     def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            metric_value(initial_state(BENCHMARK), "vibes", PROFILE)
+        with pytest.raises(ValueError, match="unknown metric 'vibes'"):
+            pruned_search(BENCHMARK, PROFILE, "vibes")
 
 
 class TestPrunedSearchOnBenchmark:
@@ -122,6 +126,35 @@ class TestPrunedSearchProperties:
         dist = Distribution.from_masses(GEOMETRIC_1200)
         result, _ = pruned_search(dist, ChannelProfile.from_sizes((2,)), metric)
         assert result.sequence == (2,) * 1199
+
+
+class TestPrefixCap:
+    def test_count_matches_the_walk(self):
+        rng = make_rng("prefix-count")
+        for trial in range(60):
+            profile = ChannelProfile.from_sizes(PROFILES[trial % len(PROFILES)])
+            dist = random_distribution(rng, rng.randint(2, 14))
+            counted = heuristics.prefix_count(*merge_options(dist.m, profile))
+            assert counted == pruned_search(dist, profile, "redundancy")[0].subproblem_count
+
+    def test_known_counts(self):
+        profile = ChannelProfile.from_sizes((2, 3))
+        counts = {m: heuristics.prefix_count(*merge_options(m, profile)) for m in (20, 24, 28)}
+        assert counts == {20: 17_709, 24: 121_391, 28: 832_038}
+
+    def test_refuses_above_the_cap(self, monkeypatch):
+        dist = Distribution.from_masses(["1/10"] * 10)
+        total = heuristics.prefix_count(*merge_options(10, PROFILE))
+        monkeypatch.setattr(heuristics, "MAX_PREFIXES", total)
+        assert pruned_search(dist, PROFILE, "entropy")[0].subproblem_count == total
+        monkeypatch.setattr(heuristics, "MAX_PREFIXES", total - 1)
+        with pytest.raises(ValueError, match=f"more than {total - 1:,}"):
+            pruned_search(dist, PROFILE, "entropy")
+
+    def test_geometric_source_on_two_channels(self):
+        dist = Distribution.from_masses(GEOMETRIC_1200)
+        with pytest.raises(ValueError, match=r"7\.\d\de\+250 merge-sequence prefixes"):
+            suboptimal_build(dist, PROFILE)
 
 
 class TestSuboptimalBuild:

@@ -15,7 +15,6 @@ from mchuff import (
     description_length,
     dummy_bound,
     entropy,
-    enumerate_merge_sequences,
     expected_length,
     huffman_expected_length,
     optimal_search,
@@ -28,6 +27,7 @@ from helpers import (
     PROFILES,
     brute_force_merge_sequences,
     brute_force_oracle,
+    enumerate_merge_sequences,
     make_rng,
     random_distribution,
     search_results_tsv,
