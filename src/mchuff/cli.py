@@ -24,9 +24,11 @@ streams.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import tables
@@ -76,6 +78,27 @@ def _read_json(path: Path) -> dict:
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", "utf-8")
+
+
+def _codebook_json(
+    channels: Sequence[int], words: Sequence[Sequence[str]], input_index: Sequence[int]
+) -> str:
+    """codebook.json text, assembled from pieces that C code encodes and joins.
+
+    Equals ``json.dumps({"channels": list(channels), "words": [list(w) for w
+    in words], "input_index": list(input_index)}, indent=2, sort_keys=True)``
+    for non-empty ``words`` of ``len(channels)`` strings each; before Python
+    3.13 that call runs json's pure-Python encoder once per string.
+    """
+    separators = [",\n      "] * (len(channels) - 1) + ["\n    ],\n    [\n      "]
+    separators *= len(words)
+    separators[-1] = "\n    ]\n  ]\n}"
+    strings = map(json.encoder.encode_basestring_ascii, itertools.chain.from_iterable(words))
+    return "".join([
+        '{\n  "channels": [\n    ', ",\n    ".join(map(str, channels)),
+        '\n  ],\n  "input_index": [\n    ', ",\n    ".join(map(str, input_index)),
+        '\n  ],\n  "words": [\n    [\n      ', *itertools.chain.from_iterable(zip(strings, separators)),
+    ])
 
 
 def _load_distribution(path: Path) -> tuple[Distribution, ChannelProfile]:
@@ -167,14 +190,8 @@ def cmd_build(args) -> int:
 
     tree_text = tree_to_json(result.tree, user_sizes, profile.user_order)
     (out_dir / "tree.json").write_text(tree_text + "\n", "utf-8")
-    _write_json(
-        out_dir / "codebook.json",
-        {
-            "channels": user_sizes,
-            "words": user_words,
-            "input_index": list(dist.input_order),
-        },
-    )
+    codebook_text = _codebook_json(user_sizes, user_words, dist.input_order)
+    (out_dir / "codebook.json").write_text(codebook_text + "\n", "utf-8")
     _write_json(
         out_dir / "stats.json",
         {
@@ -222,12 +239,15 @@ def cmd_encode(args) -> int:
     path = Path(args.codebook)
     cb = _load_codebook(path, _read_json(path))
     text = Path(args.symbols).read_text("utf-8")
-    symbols = []
-    for tok in text.split():
-        try:
-            symbols.append(int(tok))
-        except ValueError:
-            raise CliError(f"{args.symbols}: {tok!r} is not a symbol index") from None
+    try:
+        symbols = list(map(int, text.split()))
+    except ValueError:
+        for tok in text.split():
+            try:
+                int(tok)
+            except ValueError:
+                raise CliError(f"{args.symbols}: {tok!r} is not a symbol index") from None
+        raise
     try:
         streams = encode(cb, symbols)
     except ValueError as exc:
@@ -285,7 +305,7 @@ def cmd_decode(args) -> int:
         symbols = decode(root, tuple(streams), count=args.count)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    line = " ".join(str(s) for s in symbols)
+    line = " ".join(map(str, symbols))
     if args.out:
         Path(args.out).write_text(line + "\n", "utf-8")
     else:

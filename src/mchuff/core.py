@@ -77,16 +77,25 @@ class Distribution:
         Accepts exact rationals or strings such as ``"0.199"`` or ``"1/6"``;
         decimals are read exactly (0.199 becomes 199/1000). A total within
         SUM_TOLERANCE of 1 is repaired by adjusting the last input mass.
+        Strings ``"p/q"`` of ASCII digits are read as ``Fraction(int(p),
+        int(q))``, which equals ``Fraction(v)`` without its regular expression.
         """
         raw: list[Fraction] = []
         for idx, v in enumerate(values):
             if isinstance(v, bool):
                 raise ValueError(f"masses[{idx}]: a boolean is not a mass, got {v!r}")
             try:
-                f = Fraction(str(v)) if isinstance(v, float) else Fraction(v)
+                if type(v) is str and v.isascii():
+                    p, slash, q = v.partition("/")
+                    if slash and p.isdigit() and q.isdigit():
+                        f = Fraction(int(p), int(q))
+                    else:
+                        f = Fraction(v)
+                else:
+                    f = Fraction(str(v)) if isinstance(v, float) else Fraction(v)
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise ValueError(f"masses[{idx}]: cannot parse {v!r} as a rational") from exc
-            if f <= 0:
+            if f.numerator <= 0:
                 raise ValueError(f"masses[{idx}]: mass must be positive, got {f}")
             raw.append(f)
         if not raw:
@@ -97,9 +106,12 @@ class Distribution:
         rescaled = False
         if total != scale:
             if abs(total - scale) * SUM_TOLERANCE.denominator > scale * SUM_TOLERANCE.numerator:
+                try:
+                    approx = total / scale
+                except OverflowError:  # a total beyond the float range, as from "9e999"
+                    approx = math.inf
                 raise ValueError(
-                    f"masses sum to {Fraction(total, scale)} ~ {total / scale}, "
-                    "too far from 1 to rescale"
+                    f"masses sum to {Fraction(total, scale)} ~ {approx}, too far from 1 to rescale"
                 )
             weights[-1] += scale - total
             if weights[-1] <= 0:
@@ -108,7 +120,7 @@ class Distribution:
             scale //= g
             weights = [w // g for w in weights]
             rescaled = True
-        order = sorted(range(len(weights)), key=lambda j: (weights[j], j))
+        order = sorted(range(len(weights)), key=weights.__getitem__)  # stable: ties keep input order
         return cls(tuple(weights[j] for j in order), scale, tuple(order), rescaled)
 
 

@@ -70,48 +70,65 @@ class Codebook:
         return tuple(tuple(map(len, word)) for word in self.parsed)
 
 
+def _spell(place) -> str:
+    """The path of a node whose place is ``None`` (the root) or ``(parent's place, slot)``."""
+    slots = []
+    while place is not None:
+        place, slot = place
+        slots.append(f".children[{slot}]")
+    return "root" + "".join(reversed(slots))
+
+
 def validate_tree(root: Node, profile, m: int) -> list[str]:
-    """Check structural invariants; returns violations with node paths (empty list = valid)."""
+    """Check structural invariants; returns violations with node paths (empty list = valid).
+
+    The walk carries each node's place as a link to its parent's and its
+    slot, and spells a path only for a node it reports.
+    """
     sizes = as_sizes(profile)
     violations: list[str] = []
-    seen: dict[int, str] = {}
+    seen: dict[int, tuple | None] = {}
 
-    def walk(node: Node, path: str) -> bool:
+    def walk(node: Node, place) -> bool:
         """Record the subtree's violations (a node's first); return whether it holds a real leaf."""
         if isinstance(node, Leaf):
             if not 0 <= node.symbol < m:
-                violations.append(f"{path}: symbol {node.symbol} out of range 0..{m - 1}")
+                violations.append(f"{_spell(place)}: symbol {node.symbol} out of range 0..{m - 1}")
             elif node.symbol in seen:
-                violations.append(f"{path}: symbol {node.symbol} already placed at {seen[node.symbol]}")
+                first = _spell(seen[node.symbol])
+                violations.append(f"{_spell(place)}: symbol {node.symbol} already placed at {first}")
             else:
-                seen[node.symbol] = path
+                seen[node.symbol] = place
             return True
         if isinstance(node, DummyLeaf):
             return False
         if isinstance(node, Internal):
             if not 0 <= node.class_index < len(sizes):
-                violations.append(f"{path}: class {node.class_index} out of range for {len(sizes)} channels")
+                violations.append(
+                    f"{_spell(place)}: class {node.class_index} out of range for {len(sizes)} channels"
+                )
                 return count_leaves(node) > 0
             q = sizes[node.class_index]
             if len(node.children) != q:
                 violations.append(
-                    f"{path}: class {node.class_index} needs exactly {q} child slots, has {len(node.children)}"
+                    f"{_spell(place)}: class {node.class_index} needs exactly {q} child slots, "
+                    f"has {len(node.children)}"
                 )
             at = len(violations)
             has_real = False
             for slot, child in enumerate(node.children):
-                has_real = walk(child, f"{path}.children[{slot}]") or has_real
+                has_real = walk(child, (place, slot)) or has_real
             if not has_real:
-                violations.insert(at, f"{path}: internal node has no non-dummy descendant")
+                violations.insert(at, f"{_spell(place)}: internal node has no non-dummy descendant")
             return has_real
-        violations.append(f"{path}: unknown node type {type(node).__name__}")
+        violations.append(f"{_spell(place)}: unknown node type {type(node).__name__}")
         return False
 
-    walk(root, "root")
-    if not violations:
+    walk(root, None)
+    # with no violations every placed symbol is in range and placed once
+    if not violations and len(seen) < m:
         missing = sorted(set(range(m)) - set(seen))
-        if missing:
-            violations.append(f"symbols missing from tree: {missing}")
+        violations.append(f"symbols missing from tree: {missing}")
     return violations
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from helpers import GEOMETRIC_1200, build_hashes, large_alphabet_hashes, make_rn
 GOLDEN = Path(__file__).parent / "golden" / "tables.tsv"
 BUILD_GOLDEN = Path(__file__).parent / "golden" / "build_sha256.tsv"
 LARGE_GOLDEN = Path(__file__).parent / "golden" / "large_alphabet_sha256.tsv"
+SRC = Path(__file__).parent.parent / "src"
 
 BENCHMARK = {"masses": ["0.13", "0.199", "0.212", "0.217", "0.242"], "channels": [2, 3]}
 ENTROPY_ROW = {"masses": ["1/6", "1/6", "1/3", "1/3"], "channels": [2, 3]}
@@ -63,6 +67,11 @@ class TestAnalyze:
         dist = write_json(tmp_path / "d.json", {"masses": [True], "channels": [2]})
         assert main(["analyze", str(dist)]) == 2
         assert "masses[0]" in capsys.readouterr().err
+
+    def test_total_beyond_float_range_exits_2(self, tmp_path, capsys):
+        dist = write_json(tmp_path / "d.json", {"masses": ["9e999", "0.5"], "channels": [2, 3]})
+        assert main(["analyze", str(dist)]) == 2
+        assert capsys.readouterr().err.endswith(" ~ inf, too far from 1 to rescale\n")
 
     def test_masses_below_float_range(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", {"masses": GEOMETRIC_1200, "channels": [2]})
@@ -328,3 +337,54 @@ class TestCodecCommands:
         assert main(
             ["decode", str(out / "tree.json"), str(tmp_path / "streams.json"), "--count", "2"]
         ) == 3
+
+    def test_bad_symbol_token_named(self, tmp_path, capsys):
+        out = self.build(tmp_path)
+        (tmp_path / "syms.txt").write_text("0 ٣ 1\n2 x 1.0 3\n")
+        assert main(["encode", str(out / "codebook.json"), str(tmp_path / "syms.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'syms.txt'}: 'x' is not a symbol index\n"
+
+
+class TestOneProcess:
+    """``main`` keeps nothing from one call to the next: each output equals a fresh process's."""
+
+    def fresh(self, argv: list[str]) -> tuple[int, str, str]:
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from mchuff.cli import main; sys.exit(main())", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=False,
+        )
+        return run.returncode, run.stdout, run.stderr
+
+    def in_process(self, argv: list[str], capsys) -> tuple[int, str, str]:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_in_sequence(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal's width
+        dist = write_json(tmp_path / "d.json", BENCHMARK)
+        (tmp_path / "syms.txt").write_text("4 0 3 1 2 2 4 0 1 3\n")
+        single, default, streams = tmp_path / "single", tmp_path / "default", tmp_path / "s.json"
+        book = str(default / "codebook.json")
+        calls = [  # each command line and the files it writes
+            (["build", str(dist), "--method", "single=1", "--out-dir", str(single)],
+             [single / name for name in ("tree.json", "codebook.json", "stats.json")]),
+            (["build", str(dist), "--out-dir", str(default)],
+             [default / name for name in ("tree.json", "codebook.json", "stats.json")]),
+            (["encode", book, str(tmp_path / "syms.txt"), "--out", str(streams)], [streams]),
+            (["encode", book, str(tmp_path / "syms.txt")], []),
+            (["decode", str(default / "tree.json"), str(streams), "--count", "3"], []),
+            (["decode", str(default / "tree.json"), str(streams)], []),
+            (["encode", "--no-such-option"], []),
+            (["analyze", str(dist)], []),
+        ]
+        outputs = []
+        for argv, files in calls:
+            got = self.in_process(argv, capsys), [path.read_bytes() for path in files]
+            assert (self.fresh(argv), [path.read_bytes() for path in files]) == got, argv
+            outputs.append(got[0])
+        assert outputs[5][1] == "4 0 3 1 2 2 4 0 1 3\n"  # to the end of the streams, not 3 symbols
+        assert outputs[6][0] == 2

@@ -15,6 +15,9 @@ from mchuff import (
 
 from helpers import make_rng, random_distribution
 
+# weights and scale of the masses 1/4 and 3/4
+QUARTER = ((1, 3), 4)
+
 
 class TestDistribution:
     def test_canonical_order_and_input_order(self):
@@ -82,6 +85,38 @@ class TestDistribution:
         assert (d.weights, d.scale, d.input_order) == ((3, 3, 4), 10, (0, 1, 2))
         d = Distribution.from_masses(["0.2", "0.2", "0.6000000001"])
         assert (d.weights, d.scale) == ((1, 1, 3), 5)
+
+    @pytest.mark.parametrize(
+        "first, expected",
+        [
+            ("1/4", QUARTER),
+            ("004/016", QUARTER),
+            ("٣/12", QUARTER),
+            (" 1/4 ", QUARTER),
+            ("+1/4", QUARTER),
+            ("0.25", QUARTER),
+            ("25e-2", QUARTER),
+            ("0/5", "masses[0]: mass must be positive, got 0"),
+            ("-1/4", "masses[0]: mass must be positive, got -1/4"),
+            ("1/0", "masses[0]: cannot parse '1/0' as a rational"),
+            ("1/4/1", "masses[0]: cannot parse '1/4/1' as a rational"),
+            ("/4", "masses[0]: cannot parse '/4' as a rational"),
+            ("1/", "masses[0]: cannot parse '1/' as a rational"),
+        ],
+    )
+    def test_mass_strings(self, first, expected):
+        # the same rational (or error) through the "p/q" shortcut and through Fraction(str);
+        # underscores are left to the property test, as Fraction reads them only from Python 3.11
+        try:
+            d = Distribution.from_masses([first, "3/4"])
+            got = (d.weights, d.scale)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_total_beyond_float_range(self):
+        with pytest.raises(ValueError, match=r"^masses sum to 180{998}1/2 ~ inf, too far from 1 to rescale$"):
+            Distribution.from_masses(["9e999", "1/2"])
 
 
 class TestChannelProfile:

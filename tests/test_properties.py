@@ -31,6 +31,7 @@ from mchuff import (
     tree_to_obj,
 )
 from mchuff import digits
+from mchuff.cli import _codebook_json
 from mchuff.cli import main as cli_main
 from mchuff.huffman import huffman_merged_total
 from mchuff.search import merge_options
@@ -105,6 +106,58 @@ def test_weights_do_not_depend_on_input_order(masses_and_shuffled):
     assert (again.weights, again.scale) == (dist.weights, dist.scale)
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# ways to write a mass p/q; all but the last two keep its value
+mass_styles = st.sampled_from([
+    lambda p, q: f"{p}/{q}",
+    lambda p, q: f" {p}/{q}\n",
+    lambda p, q: f"+{p}/{q}",
+    lambda p, q: f"{p} / {q}",
+    lambda p, q: f"00{p}/00{q}",
+    lambda p, q: f"{p}_0/{q}0",
+    lambda p, q: f"{p}/{q}".translate(ARABIC_INDIC),
+    lambda p, q: f"{p}/{q}".translate(ARABIC_INDIC)[:1] + f"{p}/{q}"[1:],
+    lambda p, q: f"{p / q:.12f}",
+    lambda p, q: f"{p / q:.6e}",
+])
+# strings that Fraction refuses or reads as a non-positive mass, or that take its slow path
+odd_masses = st.one_of(
+    st.sampled_from(["0/5", "1/0", "-1/2", "1/-2", "1.0/2", "1e0/2", "/", "1/2/3", "", " ", "½", "٣/4",
+                     "1 / 2", "1_000/3", "1__0/3", "0.25", "-0", "1e-3", "2E-1", "9e999", "inf", "nan",
+                     "0x1/2"]),
+    st.text(alphabet="0123456789/._+-eE ٣", max_size=6),
+)
+
+
+def mass_outcome(parse):
+    """What a parse gives: the distribution's fields, or the text of the ValueError it raises."""
+    try:
+        dist = parse()
+    except ValueError as exc:
+        return str(exc)
+    return dist.weights, dist.scale, dist.input_order, dist.rescaled
+
+
+def fraction_or_refusal(idx: int, v: str) -> Fraction:
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"masses[{idx}]: cannot parse {v!r} as a rational") from exc
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(normalized, st.data())
+def test_mass_strings_read_as_fraction_reads_them(masses, data):
+    strings = [data.draw(mass_styles)(p.numerator, p.denominator) for p in masses]
+    for _ in range(data.draw(st.integers(0, 2))):
+        strings[data.draw(st.integers(0, len(strings) - 1))] = data.draw(odd_masses)
+    # the reference hands from_masses each string as Fraction(v), refusing what Fraction refuses
+    reference = mass_outcome(
+        lambda: Distribution.from_masses(fraction_or_refusal(i, v) for i, v in enumerate(strings))
+    )
+    assert mass_outcome(lambda: Distribution.from_masses(strings)) == reference
+
+
 @PROPERTY_SETTINGS
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=256), st.sampled_from((2, 3, 5, 40)))
 def test_huffman_total_matches_heap_oracle(weights, q):
@@ -161,6 +214,24 @@ def test_tree_json_matches_json_dumps(profile, m, geometric, rng):
         {"channels": list(profile.user_sizes), "root": tree_to_obj(user_root)}, indent=2, sort_keys=True
     )
     assert tree_to_json(root, profile.user_sizes, profile.user_order) == expected
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(2, 40), min_size=n, max_size=n),
+        st.lists(st.lists(st.text(max_size=4), min_size=n, max_size=n), min_size=1, max_size=30),
+    )),
+    st.randoms(use_true_random=False),
+)
+def test_codebook_json_matches_json_dumps(channels_and_words, rng):
+    """Any strings, escapes and non-ASCII characters included, not only digit strings."""
+    channels, words = channels_and_words
+    input_index = rng.sample(range(len(words)), len(words))
+    expected = json.dumps(
+        {"channels": channels, "words": words, "input_index": input_index}, indent=2, sort_keys=True
+    )
+    assert _codebook_json(channels, words, input_index) == expected
 
 
 CODEC_CHANNELS = ((2,), (2, 3), (2, 40), (5, 2, 3))

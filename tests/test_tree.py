@@ -97,6 +97,68 @@ class TestValidateTree:
         problems = validate_tree(TWO_SIXTHS_TREE, PROFILE_23, 5)
         assert any("missing" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "deep, middle, shallow, m, expected",
+        [
+            pytest.param(
+                (Leaf(0), Leaf(1), Leaf(2)), Leaf(3), Leaf(4), 7,
+                ["symbols missing from tree: [5, 6]"],
+                id="missing-symbols",
+            ),
+            pytest.param(
+                (Leaf(0), Leaf(1), Leaf(9)), Leaf(3), Leaf(4), 5,
+                ["root.children[0].children[0].children[2]: symbol 9 out of range 0..4"],
+                id="symbol-out-of-range",
+            ),
+            pytest.param(
+                (Leaf(0), Leaf(1), Leaf(4)), Leaf(3), Leaf(4), 5,
+                ["root.children[1]: symbol 4 already placed at root.children[0].children[0].children[2]"],
+                id="duplicate-symbol",
+            ),
+            pytest.param(
+                (Leaf(0), "leaf", Leaf(2)), Leaf(3), Leaf(4), 5,
+                ["root.children[0].children[0].children[1]: unknown node type str"],
+                id="unknown-node-type",
+            ),
+            pytest.param(
+                (Leaf(0), Leaf(1)), Leaf(3), Leaf(4), 5,
+                ["root.children[0].children[0]: class 1 needs exactly 3 child slots, has 2"],
+                id="slot-count",
+            ),
+            pytest.param(
+                (Leaf(0), Leaf(1), Leaf(2)),
+                Internal(0, (DummyLeaf(), Internal(1, (DummyLeaf(),) * 4))),
+                Leaf(4), 5,
+                [
+                    "root.children[0].children[1]: internal node has no non-dummy descendant",
+                    "root.children[0].children[1].children[1]: class 1 needs exactly 3 child slots, has 4",
+                    "root.children[0].children[1].children[1]: internal node has no non-dummy descendant",
+                ],
+                id="no-real-leaf-ahead-of-subtree",
+            ),
+            pytest.param(
+                (Leaf(5), Leaf(1), Leaf(1), DummyLeaf()),
+                Internal(7, (Leaf(9),)),
+                Internal(0, (DummyLeaf(), ())),
+                4,
+                [
+                    "root.children[0].children[0]: class 1 needs exactly 3 child slots, has 4",
+                    "root.children[0].children[0].children[0]: symbol 5 out of range 0..3",
+                    "root.children[0].children[0].children[2]: symbol 1 already placed at "
+                    "root.children[0].children[0].children[1]",
+                    "root.children[0].children[1]: class 7 out of range for 2 channels",
+                    "root.children[1]: internal node has no non-dummy descendant",
+                    "root.children[1].children[1]: unknown node type tuple",
+                ],
+                id="every-kind-in-walk-order",
+            ),
+        ],
+    )
+    def test_exact_messages_three_levels_deep(self, deep, middle, shallow, m, expected):
+        # root (class 1) -> children[0] (class 0) -> children[0] (class 1) -> leaves
+        root = Internal(1, (Internal(0, (Internal(1, deep), middle)), shallow, DummyLeaf()))
+        assert validate_tree(root, PROFILE_23, m) == expected
+
 
 class TestCodebookFromTree:
     def test_reference_length_tuples(self):
