@@ -23,7 +23,6 @@ from .huffman import huffman_merge_sequence, huffman_merged_total
 from .search import (
     SearchResult,
     merge_options,
-    merge_prefixes,
     merge_smallest,
     optimal_search,
     replay_sequence,
@@ -39,8 +38,8 @@ METRICS = (
     "huffman_completion",
 )
 
-#: Most merge-sequence prefixes ``pruned_search`` walks. A prefix's record and trace cells
-#: take about 1.25 kB (tracemalloc, channels (2, 3), m=24), so the cap is about 1.25 GB.
+#: Most merge-sequence prefixes ``pruned_search`` scores. A prefix's record and trace cells
+#: take about 1.1 kB (tracemalloc peak, channels (2, 3), m=24), so the cap is about 1.1 GB.
 MAX_PREFIXES = 10**6
 
 
@@ -66,7 +65,7 @@ def _scorer(metric: str, profile: ChannelProfile, scale: int):
 
 
 def prefix_count(first, later) -> int:
-    """How many prefixes ``merge_prefixes`` yields for the ``merge_options`` table ``(first, later)``."""
+    """How many prefixes ``pruned_search`` scores for the ``merge_options`` table ``(first, later)``."""
     m = len(later)
     # below[c]: the prefixes extending one that leaves c masses
     below = [0] * m
@@ -123,98 +122,89 @@ def pruned_search(
 ) -> tuple[SearchResult, TraceTable]:
     """Column-wise pruning over merge sequences, keeping metric minimizers.
 
-    Remaining-mass counts are processed in decreasing order; at each count
-    every live state landing there is compared and only those within
-    NATS_EPS of the minimum survive (ties are all retained). Final
+    One sweep over remaining-mass counts c = m, ..., 1: the live prefixes
+    leaving c masses are compared and those more than NATS_EPS above their
+    minimum are pruned (ties are all retained); then every prefix at c,
+    pruned or not, is extended by the merges ``merge_options`` lists for c,
+    so the trace also scores what discarded alternatives would have. Final
     survivors are settled by realized expected length, then lexicographic
     sequence order. Sources with more than ``MAX_PREFIXES`` merge-sequence
-    prefixes are refused with ``ValueError`` before the walk.
+    prefixes are refused with ``ValueError`` before the sweep.
     """
     score = _scorer(metric, profile, dist.scale)
     if dist.m < 2:
         raise ValueError("pruned search needs at least two masses")
-    first, later = merge_options(dist.m, profile)
+    m, scale = dist.m, dist.scale
+    first, later = merge_options(m, profile)
     total = prefix_count(first, later)
     if total > MAX_PREFIXES:
         raise ValueError(
-            f"pruned search on {dist.m} masses would walk {Decimal(total):.2e} merge-sequence "
+            f"pruned search on {m} masses would walk {Decimal(total):.2e} merge-sequence "
             f"prefixes, more than {MAX_PREFIXES:,}"
         )
-    first_ln_q = dict(first)
-    scale = dist.scale
-    # per prefix: (remaining weights, length, redundancy), its metric value and its parent's index;
-    # the walk is depth-first, so the parent ends ``path``
-    states = [(dist.weights, 0.0, 0.0)]
-    values = [0.0]
-    parents = [0]
-    by_count: dict[int, list[int]] = {}
-    complete: dict[int, tuple[int, ...]] = {}
-    path = [0]
-    for prefix, count in merge_prefixes(dist.m, profile):
-        del path[len(prefix):]
-        parent = path[-1]
-        weights, length, redundancy = states[parent]
-        k = prefix[-1]
-        picked = weights[:k]
-        merged = sum(picked)
-        s = merged / scale
-        added_length = s * (first_ln_q[k] if len(prefix) == 1 else math.log(k))
-        # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children;
-        # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
-        added_red = added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
-            f * math.log(f) for c in picked if (f := c / scale)
-        )
-        rest = list(weights)
-        merge_smallest(rest, k, merged)
-        i = len(states)
-        states.append((tuple(rest), length + added_length, redundancy + added_red))
-        values.append(score(*states[i]))
-        parents.append(parent)
-        path.append(i)
-        by_count.setdefault(count, []).append(i)
-        if count == 1:
-            complete[i] = prefix
+    later.append(first)  # the root's merges, at count m
+    # at[c]: the prefixes leaving c masses as (remaining weights, length, redundancy, metric value,
+    # count where it or an ancestor was pruned, link); a link is (k, value, parent's link)
+    at = [[] for _ in range(m)] + [[(dist.weights, 0.0, 0.0, 0.0, None, None)]]
+    scored = -1  # the root is not a prefix
+    rows = []
+    for c in range(m, 0, -1):
+        here, at[c] = at[c], None
+        scored += len(here)
+        floor = min((value for _, _, _, value, died, _ in here if died is None), default=math.inf)
+        for weights, length, redundancy, value, died, link in here:
+            if died is None and value > floor + NATS_EPS:
+                died = c
+            if c == 1:
+                seq, row = [], link
+                while row is not None:
+                    k, _, row = row
+                    seq.append(k)
+                rows.append((tuple(reversed(seq)), link, died, length))
+            for k, ln_q in later[c]:
+                picked = weights[:k]
+                merged = sum(picked)
+                s = merged / scale
+                added_length = s * ln_q
+                # r = s*(ln q - h) with s*h = s*ln s - sum(w*ln w) over the merged children;
+                # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
+                added_red = added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
+                    f * math.log(f) for w in picked if (f := w / scale)
+                )
+                rest = list(weights)
+                merge_smallest(rest, k, merged)
+                child = (tuple(rest), length + added_length, redundancy + added_red)
+                v = score(*child)
+                at[c - k + 1].append((*child, v, died, (k, v, link)))
 
-    # a prefix competes while its parent lives; died[i] is the count where it or an ancestor was pruned
-    died: list[int | None] = [None] * len(states)
-    for c in range(dist.m - 1, 0, -1):
-        live = []
-        for i in by_count.get(c, ()):
-            died[i] = died[parents[i]]
-            if died[i] is None:
-                live.append(i)
-        if live:
-            floor = min(values[i] for i in live)
-            for i in live:
-                if values[i] > floor + NATS_EPS:
-                    died[i] = c
-
-    pruned_at = {seq: died[i] for i, seq in complete.items()}
-    cellvals: dict[tuple[tuple[int, ...], int], float] = {}
-    for i, seq in complete.items():
-        j = i
-        while j:
-            cellvals[(seq, len(states[j][0]))] = values[j]
-            j = parents[j]
-    kept = [i for i in complete if died[i] is None]
+    pruned_at = {}
+    values = {}
+    kept = []
+    for seq, link, died, length in sorted(rows):  # sequences are distinct: links are never compared
+        pruned_at[seq] = died
+        count = 1
+        while link is not None:
+            k, value, link = link
+            values[(seq, count)] = value
+            count += k - 1
+        if died is None:
+            if not kept or length < best - NATS_EPS:
+                winner, best = seq, length
+            kept.append(seq)
     if not kept:
         raise RuntimeError("pruning eliminated every sequence")
-    winner = kept[0]
-    for i in kept[1:]:
-        if states[i][1] < states[winner][1] - NATS_EPS:
-            winner = i
 
     trace = TraceTable(
         metric=metric,
         sequences=tuple(pruned_at),
-        counts=tuple(range(dist.m - 1, 0, -1)),
-        values=cellvals,
+        counts=tuple(range(m - 1, 0, -1)),
+        values=values,
         pruned_at=pruned_at,
-        survivors=tuple(complete[i] for i in kept),
-        winner=complete[winner],
+        survivors=tuple(kept),
+        winner=winner,
     )
-    root, steps = replay_sequence(dist, profile, complete[winner])
-    return SearchResult(root, steps, states[winner][1], len(states) - 1), trace
+    root, steps = replay_sequence(dist, profile, winner)
+    return SearchResult(root, steps, best, scored), trace
 
 
 def suboptimal_build(dist: Distribution, profile: ChannelProfile) -> SearchResult:

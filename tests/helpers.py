@@ -16,16 +16,20 @@ import math
 import os
 import random
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from mchuff import (
     METRICS,
+    NATS_EPS,
     ChannelProfile,
     Distribution,
     DummyLeaf,
     Internal,
     Leaf,
+    SearchResult,
+    TraceTable,
     build_single_huffman,
     codebook_from_tree,
     dummy_bound,
@@ -39,7 +43,9 @@ from mchuff import (
 )
 from mchuff import digits
 from mchuff.cli import main as cli_main
-from mchuff.search import merge_prefixes
+from mchuff.core import ordered_sum
+from mchuff.heuristics import MAX_PREFIXES, _scorer, prefix_count
+from mchuff.search import merge_options, merge_prefixes, merge_smallest
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
 
@@ -221,6 +227,104 @@ def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int
     channels of sizes 2 and 3 the count grows like the Fibonacci numbers.
     """
     return [prefix for prefix, count in merge_prefixes(m, profile) if count == 1]
+
+
+def enumerating_pruned_search(
+    dist: Distribution, profile: ChannelProfile, metric: str
+) -> tuple[SearchResult, TraceTable]:
+    """``pruned_search`` as a depth-first walk of ``merge_prefixes``, then a pruning pass.
+
+    The reference the count-by-count sweep of ``pruned_search`` is checked
+    against: every prefix is recorded with its parent's index while
+    ``merge_prefixes`` walks them, counts are then processed in decreasing
+    order, and each complete sequence's trace row is rebuilt by walking
+    its ancestors. It returns the same ``(result, trace)``.
+    """
+    score = _scorer(metric, profile, dist.scale)
+    if dist.m < 2:
+        raise ValueError("pruned search needs at least two masses")
+    first, later = merge_options(dist.m, profile)
+    total = prefix_count(first, later)
+    if total > MAX_PREFIXES:
+        raise ValueError(
+            f"pruned search on {dist.m} masses would walk {Decimal(total):.2e} merge-sequence "
+            f"prefixes, more than {MAX_PREFIXES:,}"
+        )
+    first_ln_q = dict(first)
+    scale = dist.scale
+    # per prefix: (remaining weights, length, redundancy), its metric value and its parent's index;
+    # the walk is depth-first, so the parent ends ``path``
+    states = [(dist.weights, 0.0, 0.0)]
+    values = [0.0]
+    parents = [0]
+    by_count: dict[int, list[int]] = {}
+    complete: dict[int, tuple[int, ...]] = {}
+    path = [0]
+    for prefix, count in merge_prefixes(dist.m, profile):
+        del path[len(prefix):]
+        parent = path[-1]
+        weights, length, redundancy = states[parent]
+        k = prefix[-1]
+        picked = weights[:k]
+        merged = sum(picked)
+        s = merged / scale
+        added_length = s * (first_ln_q[k] if len(prefix) == 1 else math.log(k))
+        # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children;
+        # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
+        added_red = added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
+            f * math.log(f) for c in picked if (f := c / scale)
+        )
+        rest = list(weights)
+        merge_smallest(rest, k, merged)
+        i = len(states)
+        states.append((tuple(rest), length + added_length, redundancy + added_red))
+        values.append(score(*states[i]))
+        parents.append(parent)
+        path.append(i)
+        by_count.setdefault(count, []).append(i)
+        if count == 1:
+            complete[i] = prefix
+
+    # a prefix competes while its parent lives; died[i] is the count where it or an ancestor was pruned
+    died: list[int | None] = [None] * len(states)
+    for c in range(dist.m - 1, 0, -1):
+        live = []
+        for i in by_count.get(c, ()):
+            died[i] = died[parents[i]]
+            if died[i] is None:
+                live.append(i)
+        if live:
+            floor = min(values[i] for i in live)
+            for i in live:
+                if values[i] > floor + NATS_EPS:
+                    died[i] = c
+
+    pruned_at = {seq: died[i] for i, seq in complete.items()}
+    cellvals: dict[tuple[tuple[int, ...], int], float] = {}
+    for i, seq in complete.items():
+        j = i
+        while j:
+            cellvals[(seq, len(states[j][0]))] = values[j]
+            j = parents[j]
+    kept = [i for i in complete if died[i] is None]
+    if not kept:
+        raise RuntimeError("pruning eliminated every sequence")
+    winner = kept[0]
+    for i in kept[1:]:
+        if states[i][1] < states[winner][1] - NATS_EPS:
+            winner = i
+
+    trace = TraceTable(
+        metric=metric,
+        sequences=tuple(pruned_at),
+        counts=tuple(range(dist.m - 1, 0, -1)),
+        values=cellvals,
+        pruned_at=pruned_at,
+        survivors=tuple(complete[i] for i in kept),
+        winner=complete[winner],
+    )
+    root, steps = replay_sequence(dist, profile, complete[winner])
+    return SearchResult(root, steps, states[winner][1], len(states) - 1), trace
 
 
 def brute_force_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int, ...]]:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from mchuff import (
@@ -13,7 +15,13 @@ from mchuff import (
 from mchuff import heuristics
 from mchuff.search import merge_options
 
-from helpers import GEOMETRIC_1200, PROFILES, make_rng, random_distribution
+from helpers import (
+    GEOMETRIC_1200,
+    PROFILES,
+    enumerating_pruned_search,
+    make_rng,
+    random_distribution,
+)
 from expected_tables import (
     BENCHMARK_CHANNELS,
     BENCHMARK_MASSES,
@@ -126,6 +134,45 @@ class TestPrunedSearchProperties:
         dist = Distribution.from_masses(GEOMETRIC_1200)
         result, _ = pruned_search(dist, ChannelProfile.from_sizes((2,)), metric)
         assert result.sequence == (2,) * 1199
+
+
+class TestAgainstEnumeratingOracle:
+    """The count-by-count sweep against the depth-first enumeration it replaced."""
+
+    CHANNELS = ((2,), (3,), (2, 3), (2, 3, 5), (3, 4), (2, 4), (3, 5), (4, 6), (2, 2, 3))
+
+    @staticmethod
+    def assert_same(dist, profile, metric):
+        result, trace = pruned_search(dist, profile, metric)
+        want, want_trace = enumerating_pruned_search(dist, profile, metric)
+        case = (profile.user_sizes, dist.masses, metric)
+        assert result.sequence == want.sequence, case
+        assert result.steps == want.steps, case
+        assert result.expected_length.hex() == want.expected_length.hex(), case
+        assert result.subproblem_count == want.subproblem_count, case
+        assert trace.sequences == want_trace.sequences, case
+        assert trace.survivors == want_trace.survivors, case
+        assert trace.winner == want_trace.winner, case
+        assert trace.pruned_at == want_trace.pruned_at, case
+        assert list(trace.values.items()) == list(want_trace.values.items()), case
+        # the text tells -0.0 from 0.0, which == on the values does not
+        assert trace.to_tsv() == want_trace.to_tsv(), case
+
+    def test_random_sources(self):
+        rng = make_rng("pruned-oracle")
+        # 45 = 9 channel lists x 5 metrics, every pair once; weights alternate 1..4 (ties) and 1..10^6
+        for trial in range(45):
+            profile = ChannelProfile.from_sizes(self.CHANNELS[trial % len(self.CHANNELS)])
+            top = 4 if trial % 2 else 10**6
+            weights = [rng.randint(1, top) for _ in range(rng.randint(2, 13))]
+            dist = Distribution.from_masses([Fraction(w, sum(weights)) for w in weights])
+            self.assert_same(dist, profile, METRICS[trial % len(METRICS)])
+
+    def test_geometric_source(self):
+        masses = [Fraction(1, 2**j) for j in range(1, 300)] + [Fraction(1, 2**299)]
+        dist = Distribution.from_masses(masses)
+        for metric in METRICS:
+            self.assert_same(dist, ChannelProfile.from_sizes((2,)), metric)
 
 
 class TestPrefixCap:
