@@ -42,7 +42,7 @@ from .codec import (
 )
 from .core import ChannelProfile, Distribution, entropy, kraft_sum
 from .heuristics import construct
-from .huffman import build_single_huffman, dummy_count
+from .huffman import code_length_nats, dummy_count, huffman_lengths
 from .search import SearchResult, merge_prefixes
 from .tree import (
     Codebook,
@@ -145,10 +145,11 @@ def cmd_analyze(args) -> int:
         f"optimal expected length bounds: {h:.10f} <= L < {h + math.log(profile.sizes[0]):.10f} nats"
     )
     for user, q in enumerate(profile.user_sizes):
-        code = build_single_huffman(dist, q)
-        real_kraft = kraft_sum(((l,) for l in code.lengths), (q,))
+        lengths = huffman_lengths(dist, q)
+        expected = code_length_nats(dist, lengths, q)
+        real_kraft = kraft_sum(((l,) for l in lengths), (q,))
         print(
-            f"channel {user + 1} (q={q}): huffman length {code.expected_length:.10f} nats, "
+            f"channel {user + 1} (q={q}): huffman length {expected:.10f} nats, "
             f"kraft sum {real_kraft}, dummies {dummy_count(dist.m, q)}"
         )
     return EXIT_OK

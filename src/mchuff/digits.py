@@ -15,6 +15,8 @@ _CHAR_VALUE = {c: v for v, c in enumerate(_ALPHABET)}
 # where a decimal list departs from what render writes: a character other than an
 # ASCII digit or comma (a sign, space, underscore), an empty token or a leading zero
 _NONCANONICAL = re.compile(r"[^0-9,]|(?:^|,)(?:,|$|0[0-9])")
+# per alphabet size q <= 36, a translation that deletes the q digit characters
+_DELETE_DIGITS = [str.maketrans("", "", _ALPHABET[:q]) for q in range(37)]
 
 
 def render(values: Iterable[int], q: int) -> str:
@@ -43,6 +45,20 @@ def parse(text: str, q: int) -> tuple[int, ...]:
         if not 0 <= v < q:
             raise ValueError(f"digit {v} out of range for alphabet size {q}")
     return vals
+
+
+def all_valid(texts: Iterable[str], q: int) -> bool:
+    """Whether ``parse`` accepts every string of ``texts`` on an alphabet of int size q >= 2.
+
+    The strings are checked joined, at C speed: base-36 digits all lie
+    among the first q letters; decimal lists, joined with commas, are
+    canonical and their largest digit is below q. A non-string may raise
+    TypeError, and a decimal digit too long for ``int`` ValueError.
+    """
+    if q <= 36:
+        return not "".join(texts).translate(_DELETE_DIGITS[q])
+    joined = ",".join(filter(None, texts))
+    return not joined or not _NONCANONICAL.search(joined) and max(map(int, joined.split(","))) < q
 
 
 def length(text: str, q: int) -> int:

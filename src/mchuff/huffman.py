@@ -1,8 +1,12 @@
 """Single-channel q-ary Huffman codes and their multi-channel embedding.
 
 Codes are replayed from the q-ary merge sequence and read off the tree
-by ``tree.leaf_codewords``, the one codeword walk; lengths alone merge
-through ``search.merge_smallest`` without building a tree.
+by ``tree.leaf_codewords``, the one codeword walk. Lengths alone
+(``huffman_lengths``) and merged totals (``huffman_merged_total``) merge
+through ``search.merge_smallest`` without building a tree. The lengths
+break ties as the replay does, so they are the code's, and
+``code_length_nats``, which ``build_single_huffman`` also calls, turns
+them into the code's expected length.
 """
 
 from __future__ import annotations
@@ -77,10 +81,41 @@ def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
     m = dist.m
     root, steps = replay_sequence(dist, ChannelProfile((q,), (0,)), huffman_merge_sequence(m, q))
     words, lengths, dummy_lengths = leaf_codewords(root, (q,), m)
-    expected = ordered_sum(w / dist.scale * l for w, l in zip(dist.weights, lengths)) * math.log(q)
+    expected = code_length_nats(dist, lengths, q)
     merge_ks = tuple(step.k for step in steps)
     codewords = tuple(word for (word,) in words)
     return SingleChannelCode(q, tuple(lengths), codewords, expected, tuple(dummy_lengths), merge_ks)
+
+
+def huffman_lengths(dist: Distribution, q: int) -> list[int]:
+    """Codeword lengths of ``build_single_huffman(dist, q)``, by symbol, without building its tree.
+
+    Entries merge as ``(weight, order)`` pairs, where ``order`` is j for
+    symbol j and m + t for the t-th merge, so ties break as in
+    ``replay_sequence``. Each merge records itself as its entries' parent;
+    a parent is made after its children, so depths read back in reverse
+    order of making, with no recursion.
+    """
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    m = dist.m
+    items = list(zip(dist.weights, range(m)))
+    parent = [0] * m
+    for k in huffman_merge_sequence(m, q):
+        picked = items[:k]
+        for _, order in picked:
+            parent[order] = len(parent)
+        merge_smallest(items, k, (sum(weight for weight, _ in picked), len(parent)))
+        parent.append(0)  # the merged entry's own parent, set when it is merged in turn
+    depth = [0] * len(parent)
+    for order in range(len(parent) - 2, -1, -1):
+        depth[order] = depth[parent[order]] + 1
+    return depth[:m]
+
+
+def code_length_nats(dist: Distribution, lengths: Sequence[int], q: int) -> float:
+    """Expected length in nats of a q-ary code with these per-symbol lengths."""
+    return ordered_sum(w / dist.scale * l for w, l in zip(dist.weights, lengths)) * math.log(q)
 
 
 def huffman_merged_total(masses: Sequence[Mass], q: int) -> Mass | int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .core import ChannelProfile, Distribution
 from .heuristics import METRICS, TraceTable, pruned_search
-from .huffman import build_single_huffman
+from .huffman import code_length_nats, huffman_lengths
 from .search import optimal_search
 
 #: Two four-mass sources whose optimal two-channel codes achieve the entropy bound.
@@ -34,7 +34,7 @@ def optimal_length_table() -> str:
     for masses in ENTROPY_EXAMPLES:
         dist = Distribution.from_masses(masses)
         multi = optimal_search(dist, profile).expected_length
-        singles = [build_single_huffman(dist, q).expected_length for q in REFERENCE_CHANNELS]
+        singles = [code_length_nats(dist, huffman_lengths(dist, q), q) for q in REFERENCE_CHANNELS]
         cells = "\t".join(f"{v:.10f}" for v in (multi, *singles))
         lines.append("{" + ",".join(masses) + "}\t" + cells)
     return "\n".join(lines) + "\n"

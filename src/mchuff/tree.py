@@ -10,9 +10,10 @@ down the tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import digits
 from .core import Distribution, as_sizes, entropy, ordered_sum
@@ -41,22 +42,36 @@ Node = Internal | Leaf | DummyLeaf
 class Codebook:
     """Per-symbol codewords; ``words[j][i]`` is symbol j's digits on channel i.
 
-    ``parsed[j][i]`` holds the same digits as ints, parsed once on construction.
+    Construction checks every word, a channel's column at a time.
+    ``parsed[j][i]`` holds the same digits as ints, parsed on first use.
     """
 
     words: tuple[tuple[str, ...], ...]
     sizes: tuple[int, ...]
-    parsed: tuple[tuple[tuple[int, ...], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        parsed = []
+        n = len(self.sizes)
+        try:
+            valid = (
+                all(type(q) is int and q >= 2 for q in self.sizes)
+                and all(len(word) == n for word in self.words)
+                and all(map(digits.all_valid, zip(*self.words), self.sizes))
+            )
+        except (TypeError, ValueError):  # a non-string component, or a decimal digit too long for int
+            valid = False
+        if valid:
+            return
+        # word by word, so that the first fault is the one reported
         for j, word in enumerate(self.words):
             if len(word) != len(self.sizes):
                 raise ValueError(f"word {j} has {len(word)} components for {len(self.sizes)} channels")
-            parsed.append(tuple(map(digits.parse, word, self.sizes)))
+            tuple(map(digits.parse, word, self.sizes))
         if any(q < 2 for q in self.sizes):
             raise ValueError("every channel alphabet size must be at least 2")
-        object.__setattr__(self, "parsed", tuple(parsed))
+
+    @functools.cached_property
+    def parsed(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(tuple(map(digits.parse, word, self.sizes)) for word in self.words)
 
     @property
     def m(self) -> int:
@@ -67,7 +82,7 @@ class Codebook:
         return len(self.sizes)
 
     def length_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(map(len, word)) for word in self.parsed)
+        return tuple(tuple(map(digits.length, word, self.sizes)) for word in self.words)
 
 
 def _spell(place) -> str:

@@ -124,6 +124,22 @@ def dummy_length_tuples(root, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def eager_codebook_check(words, sizes) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Check a codebook word by word, parsing every component; returns the parsed words.
+
+    The loop ``Codebook`` ran on construction before it checked a column
+    at a time; it is the oracle for that check's verdicts and messages.
+    """
+    parsed = []
+    for j, word in enumerate(words):
+        if len(word) != len(sizes):
+            raise ValueError(f"word {j} has {len(word)} components for {len(sizes)} channels")
+        parsed.append(tuple(map(digits.parse, word, sizes)))
+    if any(q < 2 for q in sizes):
+        raise ValueError("every channel alphabet size must be at least 2")
+    return tuple(parsed)
+
+
 def reference_codewords(root, sizes) -> tuple[dict[int, tuple[str, ...]], list[int]]:
     """Codewords by symbol and padding-leaf depths, read off a tree by recursion.
 

@@ -19,8 +19,9 @@ from mchuff import (
 )
 
 from mchuff import digits, replay_sequence
+from mchuff.huffman import huffman_lengths
 
-from helpers import make_rng, random_distribution, reference_codewords
+from helpers import GEOMETRIC_1200, make_rng, random_distribution, reference_codewords
 
 
 def kraft_feasible_minimum(dist: Distribution, q: int) -> float:
@@ -164,6 +165,12 @@ class TestBuildSingleHuffman:
         code = build_single_huffman(Distribution.from_masses(masses + [masses[-1]]), 2)
         assert max(code.lengths) == m - 1
         assert code.merge_ks == (2,) * (m - 1)
+
+    def test_lengths_alone_on_a_deep_tree(self):
+        dist = Distribution.from_masses(GEOMETRIC_1200)
+        lengths = huffman_lengths(dist, 2)
+        assert tuple(lengths) == build_single_huffman(dist, 2).lengths
+        assert max(lengths) == 1199
 
 
 class TestTrivialExtension:

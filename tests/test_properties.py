@@ -11,14 +11,17 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mchuff import (
     NATS_EPS,
     ChannelProfile,
+    Codebook,
     CodecError,
     Distribution,
+    build_single_huffman,
     codebook_from_tree,
     decode,
     encode,
@@ -33,11 +36,17 @@ from mchuff import (
 from mchuff import digits
 from mchuff.cli import _codebook_json
 from mchuff.cli import main as cli_main
-from mchuff.huffman import huffman_merged_total
+from mchuff.huffman import code_length_nats, huffman_lengths, huffman_merged_total
 from mchuff.search import merge_options
 from mchuff.tree import tree_to_json
 
-from helpers import GOLDEN_SEARCH_CHANNELS, dummy_length_tuples, heap_merged_total, random_tree
+from helpers import (
+    GOLDEN_SEARCH_CHANNELS,
+    dummy_length_tuples,
+    eager_codebook_check,
+    heap_merged_total,
+    random_tree,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 # for properties whose examples each build a tree and write, parse or dump it
@@ -73,6 +82,73 @@ def test_accepted_digit_texts_render_back(q, text):
     except ValueError:
         return
     assert digits.render(values, q) == text
+
+
+# components a codebook check must reject: decimal lists that render never writes, characters
+# outside every alphabet and non-strings
+REJECTED_COMPONENTS = (",1", "1,", "01", "1,,2", " 1", "+1", "1_0", "\uff13", "A", "0,", 0, 10)
+
+
+def faulty_components(q: int):
+    """Components a q-ary channel may reject, among them digits q and up after a valid one."""
+    past = st.integers(q, q + 2).map(lambda v: f"0,{v}" if q > 36 else digits.render((0, min(v, 35)), 36))
+    return st.one_of(st.sampled_from(REJECTED_COMPONENTS), digit_texts, past)
+
+
+@st.composite
+def codebook_inputs(draw) -> tuple[tuple, tuple[int, ...]]:
+    """Words and alphabet sizes; about half of the books have a fault somewhere."""
+    sizes = tuple(draw(st.lists(st.sampled_from((2, 3, 10, 36, 37, 40, 1000)), min_size=1, max_size=3)))
+    if draw(st.integers(0, 9)) == 0:
+        sizes = tuple(draw(st.permutations(sizes + (draw(st.sampled_from((0, 1))),))))
+    valid = [st.lists(st.integers(0, max(q, 2) - 1), max_size=5).map(
+        lambda vs, q=q: digits.render(vs, max(q, 2))) for q in sizes]
+    words = [[draw(v) for v in valid] for _ in range(draw(st.integers(0, 6)))]
+    if words and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            word = draw(st.sampled_from(words))
+            i, kind = draw(st.integers(0, len(sizes) - 1)), draw(st.integers(0, 9))
+            if kind == 0:
+                word.append("")
+            elif kind == 1:
+                del word[i:]
+            elif i < len(word):
+                word[i] = draw(faulty_components(sizes[i]))
+    return tuple(map(tuple, words)), sizes
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(codebook_inputs())
+def test_codebook_checks_as_the_eager_loop(book):
+    """Both accept, or both raise the same exception; an accepted book parses as the loop did."""
+    words, sizes = book
+    try:
+        parsed = eager_codebook_check(words, sizes)
+    except (TypeError, ValueError) as expected:
+        with pytest.raises(type(expected)) as raised:
+            Codebook(words=words, sizes=sizes)
+        assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
+        return
+    cb = Codebook(words=words, sizes=sizes)
+    assert cb.parsed == parsed
+    assert cb.length_tuples() == tuple(tuple(map(len, word)) for word in parsed)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(
+    st.integers(1, 600),
+    st.sampled_from((4, 10**6)),
+    st.sampled_from((2, 3, 5, 36, 37, 40, 64)),
+    st.randoms(use_true_random=False),
+)
+def test_huffman_lengths_are_the_codes(m, top, q, rng):
+    """Tie-heavy (weights 1..4) and fine (1..10**6) masses; most q need padding for some m."""
+    weights = [rng.randint(1, top) for _ in range(m)]
+    dist = Distribution.from_masses([Fraction(w, sum(weights)) for w in weights])
+    code = build_single_huffman(dist, q)
+    lengths = huffman_lengths(dist, q)
+    assert tuple(lengths) == code.lengths
+    assert code_length_nats(dist, lengths, q).hex() == code.expected_length.hex()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
