@@ -12,9 +12,11 @@ from collections.abc import Iterable
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_VALUE = {c: v for v, c in enumerate(_ALPHABET)}
-# where a decimal list departs from what render writes: a character other than an
-# ASCII digit or comma (a sign, space, underscore), an empty token or a leading zero
-_NONCANONICAL = re.compile(r"[^0-9,]|(?:^|,)(?:,|$|0[0-9])")
+# a decimal list departs from what render writes where a character other than an ASCII
+# digit or comma (a sign, space, underscore) survives this deletion, or where
+# _BAD_TOKEN finds an empty token or a leading zero in "," + the list
+_DELETE_DECIMAL = str.maketrans("", "", "0123456789,")
+_BAD_TOKEN = re.compile(r",(?:,|$|0[0-9])")
 # per alphabet size q <= 36, a translation that deletes the q digit characters
 _DELETE_DIGITS = [str.maketrans("", "", _ALPHABET[:q]) for q in range(37)]
 
@@ -37,13 +39,13 @@ def parse(text: str, q: int) -> tuple[int, ...]:
             vals = tuple(_CHAR_VALUE[c] for c in text)
         except KeyError as exc:
             raise ValueError(f"invalid digit {exc.args[0]!r} for alphabet size {q}") from None
-    elif _NONCANONICAL.search(text):
+    elif not _canonical_decimal(text):
         raise ValueError(f"invalid digit list {text!r} for alphabet size {q}")
     else:
         vals = tuple(map(int, text.split(",")))
-    for v in vals:
-        if not 0 <= v < q:
-            raise ValueError(f"digit {v} out of range for alphabet size {q}")
+    if vals and max(vals) >= q:  # every digit read is at least 0
+        bad = next(v for v in vals if v >= q)
+        raise ValueError(f"digit {bad} out of range for alphabet size {q}")
     return vals
 
 
@@ -58,7 +60,11 @@ def all_valid(texts: Iterable[str], q: int) -> bool:
     if q <= 36:
         return not "".join(texts).translate(_DELETE_DIGITS[q])
     joined = ",".join(filter(None, texts))
-    return not joined or not _NONCANONICAL.search(joined) and max(map(int, joined.split(","))) < q
+    return not joined or _canonical_decimal(joined) and max(map(int, joined.split(","))) < q
+
+
+def _canonical_decimal(text: str) -> bool:
+    return not text.translate(_DELETE_DECIMAL) and not _BAD_TOKEN.search("," + text)
 
 
 def length(text: str, q: int) -> int:

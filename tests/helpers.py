@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
@@ -24,12 +25,16 @@ from mchuff import (
     METRICS,
     NATS_EPS,
     ChannelProfile,
+    CorruptionError,
+    DegenerateCodeError,
     Distribution,
     DummyLeaf,
     Internal,
     Leaf,
     SearchResult,
     TraceTable,
+    TrailingDataError,
+    TruncationError,
     build_single_huffman,
     codebook_from_tree,
     dummy_bound,
@@ -109,6 +114,24 @@ def random_tree(rng: random.Random, dist: Distribution, profile: ChannelProfile)
     return replay_sequence(dist, profile, random_sequence(rng, dist.m, profile))
 
 
+def random_shape_tree(rng: random.Random, sizes: tuple[int, ...], m: int):
+    """A decoding tree for symbols 0..m-1 of any shape, padding slots anywhere.
+
+    Merges random groups of the pending nodes under a random channel,
+    fills the rest of the slots with padding and shuffles them, until one
+    internal node is left; it makes no use of a merge sequence.
+    """
+    pending = [Leaf(j) for j in range(m)]
+    while len(pending) > 1 or not isinstance(pending[0], Internal):
+        c = rng.randrange(len(sizes))
+        rng.shuffle(pending)
+        take = rng.randint(1, min(sizes[c], len(pending)))
+        slots = pending[:take] + [DummyLeaf()] * (sizes[c] - take)
+        rng.shuffle(slots)
+        pending[:take] = [Internal(c, tuple(slots))]
+    return pending[0]
+
+
 def dummy_length_tuples(root, n: int) -> list[tuple[int, ...]]:
     """Per-channel depths of the padding leaves, in the form ``kraft_sum`` takes."""
     out = []
@@ -140,6 +163,24 @@ def eager_codebook_check(words, sizes) -> tuple[tuple[tuple[int, ...], ...], ...
     return tuple(parsed)
 
 
+# the one pattern that found a decimal list render never writes, before digits split the
+# check into a deletion of digits and commas and a search for empty or zero-led tokens
+NONCANONICAL_DECIMAL = re.compile(r"[^0-9,]|(?:^|,)(?:,|$|0[0-9])")
+
+
+def pattern_parse(text: str, q: int) -> tuple[int, ...]:
+    """``digits.parse`` for q > 36 as it was with ``NONCANONICAL_DECIMAL``; the oracle for its verdicts."""
+    if not text:
+        return ()
+    if NONCANONICAL_DECIMAL.search(text):
+        raise ValueError(f"invalid digit list {text!r} for alphabet size {q}")
+    vals = tuple(map(int, text.split(",")))
+    for v in vals:
+        if not 0 <= v < q:
+            raise ValueError(f"digit {v} out of range for alphabet size {q}")
+    return vals
+
+
 def reference_codewords(root, sizes) -> tuple[dict[int, tuple[str, ...]], list[int]]:
     """Codewords by symbol and padding-leaf depths, read off a tree by recursion.
 
@@ -164,6 +205,72 @@ def reference_codewords(root, sizes) -> tuple[dict[int, tuple[str, ...]], list[i
 
     walk(root, tuple(() for _ in sizes))
     return words, dummy_depths
+
+
+def walking_decode(root, streams, count: int | None = None) -> list[int]:
+    """``codec.decode`` as it was before its lookahead tables: one digit per step.
+
+    Every stream is parsed to ints up front, and each symbol walks from the
+    root one internal node at a time. It is the oracle for the table-driven
+    decoder's outputs, exception types and messages.
+    """
+    if count is not None and count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if isinstance(root, (Leaf, DummyLeaf)):
+        raise DegenerateCodeError("decoding tree has no internal node; the code cannot be streamed")
+    streams = tuple(streams)
+    sizes: list[int | None] = [None] * len(streams)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            if node.class_index >= len(streams):
+                raise ValueError(
+                    f"tree reads channel {node.class_index} but only {len(streams)} streams were given"
+                )
+            q = len(node.children)
+            if sizes[node.class_index] not in (None, q):
+                raise ValueError(f"channel {node.class_index} is read with inconsistent alphabet sizes")
+            sizes[node.class_index] = q
+            stack.extend(node.children)
+    parsed: list[tuple[int, ...]] = []
+    for i, text in enumerate(streams):
+        if sizes[i] is None:
+            if text:
+                raise TrailingDataError(f"stream {i} carries digits but the tree never reads channel {i}")
+            parsed.append(())
+            continue
+        try:
+            parsed.append(digits.parse(text, sizes[i]))
+        except ValueError as exc:
+            raise CorruptionError(f"stream {i}: {exc}") from exc
+
+    pos = [0] * len(streams)
+    out: list[int] = []
+    while True:
+        if count is not None:
+            if len(out) == count:
+                break
+        elif all(p == len(d) for p, d in zip(pos, parsed)):
+            break
+        node = root
+        ch = -1
+        while isinstance(node, Internal):
+            ch = node.class_index
+            if pos[ch] >= len(parsed[ch]):
+                raise TruncationError(f"stream {ch} exhausted inside codeword {len(out)}")
+            digit = parsed[ch][pos[ch]]
+            pos[ch] += 1
+            node = node.children[digit]
+        if isinstance(node, DummyLeaf):
+            raise CorruptionError(
+                f"codeword {len(out)} routed to a padding slot (channel {ch}, offset {pos[ch] - 1})"
+            )
+        out.append(node.symbol)
+    leftovers = [i for i in range(len(streams)) if pos[i] != len(parsed[i])]
+    if leftovers:
+        raise TrailingDataError(f"streams {leftovers} have digits left after {len(out)} symbols")
+    return out
 
 
 def count_dummies(root) -> int:

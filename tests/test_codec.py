@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from mchuff import (
@@ -20,7 +22,15 @@ from mchuff import (
 )
 from mchuff import digits
 
-from helpers import PROFILES, make_rng, random_distribution, random_tree
+from helpers import (
+    PROFILES,
+    make_rng,
+    random_distribution,
+    random_shape_tree,
+    random_tree,
+    reference_codewords,
+    walking_decode,
+)
 
 PROFILE_23 = ChannelProfile.from_sizes((2, 3))
 DIST_A = Distribution.from_masses(["1/6", "1/6", "1/3", "1/3"])
@@ -156,3 +166,113 @@ class TestLargeAlphabetDigits:
     def test_decode_reports_noncanonical_stream_as_corrupt(self, text):
         with pytest.raises(CorruptionError):
             decode(FORTY_TREE, ("", text))
+
+
+ORACLE_CHANNELS = (
+    (2,), (3,), (5,), (36,), (37,), (40,), (2, 3), (3, 2), (2, 40), (37, 3), (5, 2, 3), (36, 2, 40),
+)
+DAMAGES = ("none", "truncated", "cut", "flipped", "padding", "appended", "invalid", "missing")
+
+
+def padding_paths(root, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Per-channel digits that lead from the root to each padding slot."""
+    out = []
+    stack = [(root, ((),) * n)]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, DummyLeaf):
+            out.append(path)
+        elif isinstance(node, Internal):
+            c = node.class_index
+            for d, child in enumerate(node.children):
+                stack.append((child, path[:c] + (path[c] + (d,),) + path[c + 1:]))
+    return out
+
+
+def invalid_token(rng, q: int) -> str:
+    """A digit, or for q > 36 a list token, that ``digits.parse`` rejects on a q-ary channel."""
+    if q > 36:
+        return rng.choice(["", "01", "-1", "+2", " 3", "1_0", str(q), str(q + 7)])
+    return rng.choice("Z-_ " + (digits.render([q], 36) if q < 36 else ""))
+
+
+def damaged_case(rng):
+    """A random code, a message encoded in it, then maybe damaged, and a count to decode."""
+    sizes = rng.choice(ORACLE_CHANNELS)
+    m = rng.randint(2, 30)
+    root = random_shape_tree(rng, sizes, m)
+    words, _ = reference_codewords(root, sizes)
+    length = rng.choice([rng.randint(0, 6), rng.randint(0, 120), rng.randint(400, 2500)])
+    seq = [rng.randrange(m) for _ in range(length)]
+    parts = [tuple(map(digits.parse, words[s], sizes)) for s in seq]
+    how = rng.choice(DAMAGES)
+    if how == "padding":
+        parts.insert(rng.randint(0, len(parts)), rng.choice(padding_paths(root, len(sizes)) or [((),) * len(sizes)]))
+    streams = [[d for part in parts for d in part[i]] for i in range(len(sizes))]
+    i = rng.randrange(len(sizes))
+    s = streams[i]
+    if how == "truncated" and s:
+        s.pop()
+    elif how == "cut" and s:
+        del s[rng.randrange(len(s))]
+    elif how == "flipped" and s:
+        s[rng.randrange(len(s))] = rng.randrange(sizes[i])
+    elif how == "appended":
+        s += [rng.randrange(sizes[i]) for _ in range(rng.randint(1, 3))]
+    texts = [digits.render(s, q) for s, q in zip(streams, sizes)]
+    if how == "invalid":
+        if sizes[i] > 36:
+            tokens = texts[i].split(",") if texts[i] else []
+            tokens.insert(rng.randint(0, len(tokens)), invalid_token(rng, sizes[i]))
+            texts[i] = ",".join(tokens)
+        else:
+            at = rng.randint(0, len(texts[i]))
+            texts[i] = texts[i][:at] + invalid_token(rng, sizes[i]) + texts[i][at:]
+    if how == "missing":
+        del texts[-1]
+    count = rng.choice([None, len(seq), len(seq) + 1, len(seq) - 1 if seq else None])
+    return root, tuple(texts), count
+
+
+def outcome(decoder, root, streams, count):
+    """Decoded symbols, or the type and message of the exception raised."""
+    try:
+        return decoder(root, streams, count)
+    except Exception as exc:  # noqa: BLE001 - every exception must match the oracle's
+        return type(exc), str(exc)
+
+
+class TestDecodeOracle:
+    def test_matches_walking_decoder_on_damaged_streams(self):
+        rng = make_rng("decode-oracle")
+        kinds = set()
+        for _ in range(400):
+            root, streams, count = damaged_case(rng)
+            expected = outcome(walking_decode, root, streams, count)
+            assert outcome(decode, root, streams, count) == expected, (streams, count)
+            kinds.add(expected[0] if isinstance(expected, tuple) else list)
+            if isinstance(expected, tuple) and "padding slot" in expected[1]:
+                kinds.add("padding slot")
+        assert kinds == {list, ValueError, TruncationError, CorruptionError, TrailingDataError, "padding slot"}
+
+    def test_deep_caterpillar_tree(self):
+        """Depth 1,199 on one binary channel: symbol j is j ones then a zero, the last 1,199 ones.
+
+        All 1,200 symbols are decoded in one call, then every tenth in a call
+        of its own. Tables made to the limit on every visited node would cost
+        about 25 million entries over the short calls, so the time bound holds
+        only while a call's entries stay within its digits.
+        """
+        m = 1200
+        root = Leaf(m - 1)
+        for j in range(m - 2, -1, -1):
+            root = Internal(0, (Leaf(j), root))
+        words = [("1" * j + "0",) for j in range(m - 1)] + [("1" * (m - 1),)]
+        whole = ("".join(word for word, in words),)
+        start = time.perf_counter()
+        symbols = decode(root, whole)
+        one_by_one = [decode(root, word) for word in words[::10]]
+        elapsed = time.perf_counter() - start
+        assert symbols == walking_decode(root, whole) == list(range(m))
+        assert one_by_one == [walking_decode(root, word) for word in words[::10]] == [[j] for j in range(0, m, 10)]
+        assert elapsed < 1.0

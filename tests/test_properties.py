@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mchuff import (
@@ -45,6 +45,7 @@ from helpers import (
     dummy_length_tuples,
     eager_codebook_check,
     heap_merged_total,
+    pattern_parse,
     random_tree,
 )
 
@@ -82,6 +83,30 @@ def test_accepted_digit_texts_render_back(q, text):
     except ValueError:
         return
     assert digits.render(values, q) == text
+
+
+def parse_outcome(parse, text: str, q: int):
+    try:
+        return parse(text, q)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@example(",1", 40)
+@example("1,", 40)
+@example("01", 40)
+@example("1,,2", 40)
+@example(" 1", 40)
+@example("1,\n", 40)
+@given(st.text(alphabet="0123456789,+- _|", max_size=14), st.sampled_from([37, 40, 1000]))
+def test_decimal_lists_checked_as_the_single_pattern(text, q):
+    """parse and all_valid give the verdicts and messages they gave with one regular expression."""
+    assert parse_outcome(digits.parse, text, q) == parse_outcome(pattern_parse, text, q)
+    texts = text.split("|")
+    assert digits.all_valid(texts, q) == all(
+        not isinstance(parse_outcome(pattern_parse, t, q), str) for t in texts
+    )
 
 
 # components a codebook check must reject: decimal lists that render never writes, characters
