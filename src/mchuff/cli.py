@@ -15,9 +15,8 @@ them 1-based. Symbol indices refer to masses sorted nondecreasing (the
 Exit codes: 0 ok, 2 bad input (including files that cannot be read or
 written, codebook words whose components are not digit strings,
 construction requests ``construct`` rejects, such as an unknown pruning
-metric, a pruned search on one mass or on more merge-sequence prefixes
-than ``heuristics.MAX_PREFIXES``, and inputs whose trees or searches nest
-too deeply for Python's recursion limit), 3 corrupt streams, 4 truncated
+metric or a pruned search on one mass, and inputs whose trees nest too
+deeply for Python's recursion limit), 3 corrupt streams, 4 truncated
 streams.
 """
 

@@ -10,6 +10,11 @@ single-channel completion of the remaining masses yields a code that is
 never longer than any single-channel Huffman code, because every such
 code's merge pattern is dominated by one of the candidate sequences from
 the very first round.
+
+``pruned_search`` scores every prefix for its trace, so it caps their
+number at ``MAX_PREFIXES``. ``suboptimal_build`` and ``construct``'s
+``"prune"`` reach the same winner by ``search._sweep``, which extends
+only live prefixes, one per remaining multiset, with no trace and no cap.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .core import ChannelProfile, Distribution, NATS_EPS, entropy, ordered_sum
 from .huffman import huffman_merge_sequence, huffman_merged_total
 from .search import (
     SearchResult,
+    _sweep,
     merge_options,
     merge_smallest,
     optimal_search,
@@ -44,21 +50,30 @@ MAX_PREFIXES = 10**6
 
 
 def _scorer(metric: str, profile: ChannelProfile, scale: int):
-    """The metric as a function of a prefix's (remaining weights, length, redundancy).
+    """The metric as a step: a merge's child value from its parent's value and the merge.
 
-    Weights are integers over ``scale``; lower is better for every metric.
+    The step is ``score(parent value, merged weights, remaining weights,
+    added length, length)``; weights are integers over ``scale``, the root's
+    value is 0.0, and lower is better for every metric.
     """
     if metric == "redundancy":
-        return lambda weights, length, redundancy: redundancy
+        # r = s*(ln q - h) with s*h = s*ln s - sum(w*ln w) over the merged children;
+        # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
+        return lambda value, picked, weights, added, length: value + (
+            added - (s * math.log(s) if (s := sum(picked) / scale) else 0.0)
+            + ordered_sum(f * math.log(f) for w in picked if (f := w / scale))
+        )
     if metric == "expected_length":
-        return lambda weights, length, redundancy: length
+        return lambda value, picked, weights, added, length: length
     if metric == "entropy":
-        return lambda weights, length, redundancy: entropy([c / scale for c in weights])
+        return lambda value, picked, weights, added, length: entropy([c / scale for c in weights])
     if metric == "expected_plus_entropy":
-        return lambda weights, length, redundancy: length + entropy([c / scale for c in weights])
+        return lambda value, picked, weights, added, length: length + entropy(
+            [c / scale for c in weights]
+        )
     if metric == "huffman_completion":
         costs = [(q, math.log(q)) for q in set(profile.sizes)]
-        return lambda weights, length, redundancy: length + min(
+        return lambda value, picked, weights, added, length: length + min(
             huffman_merged_total(weights, q) / scale * ln_q for q, ln_q in costs
         )
     raise ValueError(f"unknown metric {metric!r}; choose one of {METRICS}")
@@ -143,16 +158,16 @@ def pruned_search(
             f"prefixes, more than {MAX_PREFIXES:,}"
         )
     later.append(first)  # the root's merges, at count m
-    # at[c]: the prefixes leaving c masses as (remaining weights, length, redundancy, metric value,
-    # count where it or an ancestor was pruned, link); a link is (k, value, parent's link)
-    at = [[] for _ in range(m)] + [[(dist.weights, 0.0, 0.0, 0.0, None, None)]]
+    # at[c]: the prefixes leaving c masses as (remaining weights, length, metric value, count where
+    # it or an ancestor was pruned, link); a link is (k, value, parent's link)
+    at = [[] for _ in range(m)] + [[(dist.weights, 0.0, 0.0, None, None)]]
     scored = -1  # the root is not a prefix
     rows = []
     for c in range(m, 0, -1):
         here, at[c] = at[c], None
         scored += len(here)
-        floor = min((value for _, _, _, value, died, _ in here if died is None), default=math.inf)
-        for weights, length, redundancy, value, died, link in here:
+        floor = min((value for _, _, value, died, _ in here if died is None), default=math.inf)
+        for weights, length, value, died, link in here:
             if died is None and value > floor + NATS_EPS:
                 died = c
             if c == 1:
@@ -164,18 +179,12 @@ def pruned_search(
             for k, ln_q in later[c]:
                 picked = weights[:k]
                 merged = sum(picked)
-                s = merged / scale
-                added_length = s * ln_q
-                # r = s*(ln q - h) with s*h = s*ln s - sum(w*ln w) over the merged children;
-                # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
-                added_red = added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
-                    f * math.log(f) for w in picked if (f := w / scale)
-                )
+                added = merged / scale * ln_q
                 rest = list(weights)
                 merge_smallest(rest, k, merged)
-                child = (tuple(rest), length + added_length, redundancy + added_red)
-                v = score(*child)
-                at[c - k + 1].append((*child, v, died, (k, v, link)))
+                rest, total = tuple(rest), length + added
+                v = score(value, picked, rest, added, total)
+                at[c - k + 1].append((rest, total, v, died, (k, v, link)))
 
     pruned_at = {}
     values = {}
@@ -208,11 +217,14 @@ def pruned_search(
 
 
 def suboptimal_build(dist: Distribution, profile: ChannelProfile) -> SearchResult:
-    """Construction guaranteed no longer than any single-channel Huffman code."""
+    """Construction guaranteed no longer than any single-channel Huffman code.
+
+    ``pruned_search``'s winner and length under ``huffman_completion``,
+    found by ``search._sweep``; ``subproblem_count`` counts multisets.
+    """
     if dist.m == 1:
         return SearchResult(tree=Leaf(0), steps=(), expected_length=0.0, subproblem_count=0)
-    result, _ = pruned_search(dist, profile, "huffman_completion")
-    return result
+    return _sweep(dist, profile, _scorer("huffman_completion", profile, dist.scale))
 
 
 def construct(
@@ -223,16 +235,17 @@ def construct(
 
     ``method`` is ``"optimal"`` (exhaustive merge-sequence search),
     ``"suboptimal"`` (never worse than any single-channel Huffman code),
-    ``"prune"`` (pruned search under ``metric``, one of METRICS) or
-    ``"single"`` (q-ary Huffman on ``channel``, a 0-based index in the
-    caller's channel order; the other channels stay unused).
+    ``"prune"`` (``pruned_search``'s winner under ``metric``, one of
+    METRICS, found as ``suboptimal_build`` finds its own) or ``"single"``
+    (q-ary Huffman on ``channel``, a 0-based index in the caller's channel
+    order; the other channels stay unused).
     """
     if method == "optimal":
         return optimal_search(dist, profile)
     if method == "suboptimal":
         return suboptimal_build(dist, profile)
     if method == "prune":
-        return pruned_search(dist, profile, metric)[0]
+        return _sweep(dist, profile, _scorer(metric, profile, dist.scale))
     if method != "single":
         raise ValueError(
             f"method must be one of ('optimal', 'suboptimal', 'prune', 'single'), got {method!r}"

@@ -4,19 +4,17 @@ Every candidate construction repeatedly merges the smallest current
 masses; the only freedom is how many to merge per round. The first round
 may pad a channel's slots with dummy (zero-probability) masses; later
 rounds must fill a channel exactly, which confines all dummies to the
-deepest node. Memoizing subproblems on the exact reduced multiset makes
-the exponentially many sequences collapse onto shared work. The multiset
-is held as the integer weights of ``Distribution.weights``, all over the
-one denominator ``Distribution.scale``: memo keys are int tuples, a cost
-is ``merged / scale * ln q``, and every merge in the package (searches,
+deepest node. Two merge-sequence prefixes that leave the same reduced
+multiset have the same completions, so one forward sweep over falling
+mass counts keeps each multiset once, with its shortest prefix, and the
+exponentially many sequences collapse onto shared work. The multiset is
+held as the integer weights of ``Distribution.weights``, all over the one
+denominator ``Distribution.scale``: sweep keys are int tuples, a cost is
+``merged / scale * ln q``, and every merge in the package (searches,
 replays into trees, Huffman totals) goes through ``merge_smallest``.
 Which merges are admissible is stated once, in the table ``merge_options``,
 which lists a merge only if the count it leaves can still end in one mass;
-``optimal_search`` and the depth-first walk ``merge_prefixes`` follow it.
-
-The search is pure and single-threaded; the memo table is an ordinary
-dict whose values are idempotent, so concurrent evaluation would only
-need an insert-if-absent map to produce identical results.
+the sweep and the depth-first walk ``merge_prefixes`` follow it.
 """
 
 from __future__ import annotations
@@ -132,43 +130,84 @@ def merge_smallest(items: list, k: int, merged) -> None:
     bisect.insort(items, merged)
 
 
+def _unlink(links: list[tuple[int, float, int]], link: int) -> tuple[tuple[int, ...], float]:
+    """The merge sequence ``link`` spells in a sweep's ``links``, and its costs summed last merge first."""
+    seq, length = [], 0.0
+    while link:
+        k, added, link = links[link]
+        seq.append(k)
+        length += added
+    seq.reverse()
+    return tuple(seq), length
+
+
+def _sweep(dist: Distribution, profile: ChannelProfile, score=None) -> SearchResult:
+    """The shortest merge sequence, by one sweep over falling counts of distinct multisets.
+
+    Count c = m, ..., 2 maps each remaining multiset of integer weights to
+    ``(length, metric value, link)``, where ``links[link]`` is ``(k, added
+    length, parent's link)`` and link 0 is the root. Prefixes leaving the
+    same multiset have the same completions, and every metric of
+    ``heuristics.METRICS`` values them apart by their length difference or
+    not at all, so a multiset keeps its shortest prefix, or within NATS_EPS
+    the lexicographically smaller. Without ``score`` every entry is
+    extended, and the length is summed last merge first, as a recursion
+    over completions adds it. With it, a child's value is ``score(parent
+    value, merged weights, remaining weights, added length, length)``, and
+    only entries within NATS_EPS of their count's minimum are extended, as
+    ``heuristics.pruned_search`` prunes. ``subproblem_count`` is the number
+    of multisets kept below the root.
+    """
+    m, scale = dist.m, dist.scale
+    first, later = merge_options(m, profile)
+    later.append(first)  # the root's merges, at count m
+    links = [(0, 0.0, 0)]  # only ints and floats, so the collector stops tracking them
+    at: list[dict] = [{} for _ in range(m)] + [{dist.weights: (0.0, 0.0, 0)}]
+    for c in range(m, 1, -1):
+        here = at[c]
+        # with a scorer, only entries within NATS_EPS of the count's best value are extended
+        limit = min((value for _, value, _ in here.values()), default=0.0) + NATS_EPS if score else math.inf
+        for weights, (length, value, link) in here.items():
+            if value > limit:
+                continue
+            for k, ln_q in later[c]:
+                picked = weights[:k]
+                merged = sum(picked)
+                added = merged / scale * ln_q
+                rest = list(weights)
+                merge_smallest(rest, k, merged)
+                key = tuple(rest)
+                total = length + added
+                slot = at[c - k + 1]
+                kept = slot.get(key)
+                if kept is not None and (
+                    total > kept[0] + NATS_EPS
+                    or total >= kept[0] - NATS_EPS
+                    and _unlink(links, link)[0] + (k,) >= _unlink(links, kept[2])[0]
+                ):
+                    continue
+                slot[key] = (total, score(value, picked, key, added, total) if score else 0.0, len(links))
+                links.append((k, added, link))
+    length, _, link = at[1][(scale,)]
+    seq, resummed = _unlink(links, link)
+    root, steps = replay_sequence(dist, profile, seq)
+    return SearchResult(root, steps, length if score else resummed, sum(map(len, at[2:m])))
+
+
 def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
     """Globally optimal tree-decodable code over all admissible merge sequences.
 
-    Subproblems are memoized on the exact sorted multiset of remaining
-    integer weights; below the first round no dummies are needed, so one
-    table suffices. The merges tried come from ``merge_options``, so every
-    subproblem can be finished. Ties within NATS_EPS resolve to the
-    lexicographically smallest sequence (smaller merge count first). With
-    a single channel this reproduces the classic Huffman code.
+    One sweep over the distinct remaining multisets of integer weights,
+    count by count (``_sweep`` without a scorer); below the first round no
+    dummies are needed, so one multiset key suffices. The merges tried
+    come from ``merge_options``, so every multiset can be finished. Ties
+    within NATS_EPS resolve to the lexicographically smallest sequence
+    (smaller merge count first). With a single channel this reproduces the
+    classic Huffman code.
     """
     if dist.m == 1:
         return SearchResult(tree=Leaf(0), steps=(), expected_length=0.0, subproblem_count=0)
-
-    first, later = merge_options(dist.m, profile)
-    scale = dist.scale
-    # the one mass every sequence ends in costs nothing more
-    memo: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {(scale,): (0.0, ())}
-
-    def solve(masses: tuple[int, ...], options: list[tuple[int, float]]) -> tuple[float, tuple[int, ...]]:
-        best = math.inf
-        best_seq: tuple[int, ...] = ()
-        for k, ln_q in options:
-            merged = sum(masses[:k])
-            rest = list(masses)
-            merge_smallest(rest, k, merged)
-            key = tuple(rest)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = solve(key, later[len(key)])
-            cand = hit[0] + merged / scale * ln_q
-            if cand < best - NATS_EPS:
-                best, best_seq = cand, (k,) + hit[1]
-        return best, best_seq
-
-    best, best_seq = solve(dist.weights, first)
-    root, steps = replay_sequence(dist, profile, best_seq)
-    return SearchResult(tree=root, steps=steps, expected_length=best, subproblem_count=len(memo) - 1)
+    return _sweep(dist, profile)
 
 
 def replay_sequence(

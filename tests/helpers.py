@@ -39,6 +39,7 @@ from mchuff import (
     codebook_from_tree,
     dummy_bound,
     dummy_count,
+    entropy,
     expected_length,
     kraft_sum,
     local_redundancy,
@@ -49,12 +50,16 @@ from mchuff import (
 from mchuff import digits
 from mchuff.cli import main as cli_main
 from mchuff.core import ordered_sum
-from mchuff.heuristics import MAX_PREFIXES, _scorer, prefix_count
+from mchuff.heuristics import MAX_PREFIXES, prefix_count
+from mchuff.huffman import huffman_merged_total
 from mchuff.search import merge_options, merge_prefixes, merge_smallest
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
 
 PROFILES = [(2, 3), (2, 4), (3, 4), (2, 2, 3)]
+
+#: Channel lists the searches are checked against their oracles on.
+ORACLE_CHANNELS = ((2,), (3,), (2, 3), (2, 3, 5), (3, 4), (2, 4), (3, 5), (4, 6), (2, 2, 3))
 
 
 def make_rng(tag: str, seed: str = SEED) -> random.Random:
@@ -352,6 +357,65 @@ def enumerate_merge_sequences(m: int, profile: ChannelProfile) -> list[tuple[int
     return [prefix for prefix, count in merge_prefixes(m, profile) if count == 1]
 
 
+def memo_optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:
+    """``optimal_search`` as the recursion it was before its forward sweep.
+
+    The reference the sweep is checked against: each reduced multiset's
+    best completion is memoized, options are tried in increasing k and a
+    later one wins only if it is more than NATS_EPS shorter. The length is
+    summed last merge first, and the subproblem count is the memo's size
+    less the final one mass.
+    """
+    if dist.m == 1:
+        return SearchResult(tree=Leaf(0), steps=(), expected_length=0.0, subproblem_count=0)
+    first, later = merge_options(dist.m, profile)
+    scale = dist.scale
+    memo: dict[tuple[int, ...], tuple[float, tuple[int, ...]]] = {(scale,): (0.0, ())}
+
+    def solve(masses, options):
+        best = math.inf
+        best_seq: tuple[int, ...] = ()
+        for k, ln_q in options:
+            merged = sum(masses[:k])
+            rest = list(masses)
+            merge_smallest(rest, k, merged)
+            key = tuple(rest)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = solve(key, later[len(key)])
+            cand = hit[0] + merged / scale * ln_q
+            if cand < best - NATS_EPS:
+                best, best_seq = cand, (k,) + hit[1]
+        return best, best_seq
+
+    best, best_seq = solve(dist.weights, first)
+    root, steps = replay_sequence(dist, profile, best_seq)
+    return SearchResult(tree=root, steps=steps, expected_length=best, subproblem_count=len(memo) - 1)
+
+
+def reference_scorer(metric: str, profile: ChannelProfile, scale: int):
+    """A metric as a function of a prefix's (remaining weights, length, redundancy).
+
+    The scorer ``enumerating_pruned_search`` uses, kept apart from the
+    package's step scorers so that the oracle shares no scoring code with
+    what it checks.
+    """
+    if metric == "redundancy":
+        return lambda weights, length, redundancy: redundancy
+    if metric == "expected_length":
+        return lambda weights, length, redundancy: length
+    if metric == "entropy":
+        return lambda weights, length, redundancy: entropy([c / scale for c in weights])
+    if metric == "expected_plus_entropy":
+        return lambda weights, length, redundancy: length + entropy([c / scale for c in weights])
+    if metric == "huffman_completion":
+        costs = [(q, math.log(q)) for q in set(profile.sizes)]
+        return lambda weights, length, redundancy: length + min(
+            huffman_merged_total(weights, q) / scale * ln_q for q, ln_q in costs
+        )
+    raise ValueError(f"unknown metric {metric!r}; choose one of {METRICS}")
+
+
 def enumerating_pruned_search(
     dist: Distribution, profile: ChannelProfile, metric: str
 ) -> tuple[SearchResult, TraceTable]:
@@ -363,7 +427,7 @@ def enumerating_pruned_search(
     order, and each complete sequence's trace row is rebuilt by walking
     its ancestors. It returns the same ``(result, trace)``.
     """
-    score = _scorer(metric, profile, dist.scale)
+    score = reference_scorer(metric, profile, dist.scale)
     if dist.m < 2:
         raise ValueError("pruned search needs at least two masses")
     first, later = merge_options(dist.m, profile)
@@ -614,6 +678,10 @@ LARGE_CHANNELS = ([2, 40], [5, 2, 3])
 
 #: 1/2, ..., 1/2**1199, 1/2**1199: the smallest masses underflow a float, the Huffman tree is 1199 deep.
 GEOMETRIC_1200 = [f"1/{2**j}" for j in range(1, 1200)] + [f"1/{2**1199}"]
+
+#: Zipf masses over 256 symbols: weights round(10**6 / j**1.1) for j = 1..256, over their sum.
+ZIPF_WEIGHTS_256 = [round(10**6 / j**1.1) for j in range(1, 257)]
+ZIPF_256 = [Fraction(w, sum(ZIPF_WEIGHTS_256)) for w in ZIPF_WEIGHTS_256]
 
 
 def large_alphabet_hashes() -> str:

@@ -176,7 +176,7 @@ class TestTooDeep:
             (["build", "{dist}", "--method", "single=1", "--out-dir", "{out}"], [2]),
             (["build", "{dist}", "--method", "optimal", "--out-dir", "{out}"], [2]),
             (["build", "{dist}", "--method", "prune=redundancy", "--out-dir", "{out}"], [2]),
-            # about 7.1e250 merge-sequence prefixes, refused before the walk
+            # the sweep builds the 1,199-deep code, then validate_tree's recursive walk exceeds the limit
             (["build", "{dist}", "--method", "suboptimal", "--out-dir", "{out}"], [2, 3]),
         ],
         ids=["build-single", "build-optimal", "build-prune", "build-suboptimal-2-3"],

@@ -46,6 +46,16 @@ class TestFitTransform:
             streams = coder.fit_transform(data)
             assert coder.inverse_transform(streams) == data
 
+    def test_suboptimal_on_a_zipf_text(self):
+        # symbol j of 256 occurs about 1000 / j**1.1 times, at least twice
+        rng = make_rng("estimator-zipf")
+        data = [j for j in range(1, 257) for _ in range(round(1000 / j**1.1))]
+        rng.shuffle(data)
+        coder = MultiChannelHuffmanCoder(channels=(2, 3), method="suboptimal")
+        streams = coder.fit_transform(data)
+        assert len(coder.classes_) == 256
+        assert coder.inverse_transform(streams) == data
+
     def test_suboptimal_never_beats_optimal(self):
         rng = make_rng("estimator-compare")
         data = [rng.choice("abcdefgh") for _ in range(500)]

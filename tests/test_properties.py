@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mchuff import (
+    METRICS,
     NATS_EPS,
     ChannelProfile,
     Codebook,
@@ -23,6 +24,7 @@ from mchuff import (
     Distribution,
     build_single_huffman,
     codebook_from_tree,
+    construct,
     decode,
     encode,
     entropy,
@@ -30,6 +32,7 @@ from mchuff import (
     kraft_sum,
     map_classes,
     optimal_search,
+    pruned_search,
     suboptimal_build,
     tree_to_obj,
 )
@@ -42,9 +45,11 @@ from mchuff.tree import tree_to_json
 
 from helpers import (
     GOLDEN_SEARCH_CHANNELS,
+    ORACLE_CHANNELS,
     dummy_length_tuples,
     eager_codebook_check,
     heap_merged_total,
+    memo_optimal_search,
     pattern_parse,
     random_tree,
 )
@@ -284,6 +289,40 @@ def test_suboptimal_between_optimal_and_single_channel(dist, profile):
     single = min(huffman_expected_length(dist.masses, q) for q in profile.sizes)
     assert optimal <= suboptimal + NATS_EPS
     assert suboptimal <= single + NATS_EPS
+
+
+# 2..13 masses whose weights are 1..4 (many ties) or 1..10**6
+searched_sources = st.sampled_from((4, 10**6)).flatmap(
+    lambda top: st.lists(st.integers(1, top), min_size=2, max_size=13)
+).map(lambda ws: Distribution.from_masses([Fraction(w, sum(ws)) for w in ws]))
+
+
+@pytest.mark.parametrize("sizes", ORACLE_CHANNELS, ids=lambda sizes: ",".join(map(str, sizes)))
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(searched_sources)
+def test_optimal_search_is_the_memo(sizes, dist):
+    profile = ChannelProfile.from_sizes(sizes)
+    got, want = optimal_search(dist, profile), memo_optimal_search(dist, profile)
+    assert got.sequence == want.sequence
+    assert got.steps == want.steps
+    assert got.expected_length.hex() == want.expected_length.hex()
+    assert got.subproblem_count == want.subproblem_count
+
+
+@pytest.mark.parametrize("sizes", ORACLE_CHANNELS, ids=lambda sizes: ",".join(map(str, sizes)))
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(searched_sources)
+def test_sweep_reaches_the_pruned_winner(sizes, dist):
+    profile = ChannelProfile.from_sizes(sizes)
+    for metric in METRICS:
+        want, _ = pruned_search(dist, profile, metric)
+        built = [construct(dist, profile, "prune", metric=metric)]
+        if metric == "huffman_completion":
+            built.append(suboptimal_build(dist, profile))
+        for got in built:
+            assert got.sequence == want.sequence, metric
+            assert got.steps == want.steps, metric
+            assert got.expected_length.hex() == want.expected_length.hex(), metric
 
 
 @PROPERTY_SETTINGS

@@ -24,6 +24,7 @@ from mchuff import (
 from mchuff.search import merge_options, merge_prefixes
 
 from helpers import (
+    GEOMETRIC_1200,
     PROFILES,
     brute_force_merge_sequences,
     brute_force_oracle,
@@ -153,6 +154,13 @@ class TestOptimalSearch:
         result = optimal_search(Distribution.from_masses([1]), PROFILE_23)
         assert result.tree == Leaf(0)
         assert result.expected_length == 0.0
+
+    def test_geometric_source_on_one_channel(self):
+        # 1,199 merges deep: the sweep keeps one multiset per count and never recurses
+        dist = Distribution.from_masses(GEOMETRIC_1200)
+        result = optimal_search(dist, ChannelProfile.from_sizes((2,)))
+        assert result.sequence == (2,) * 1199
+        assert result.subproblem_count == 1198
 
     def test_matches_tree_expected_length(self):
         rng = make_rng("search-length")
