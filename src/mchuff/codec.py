@@ -50,16 +50,24 @@ def _separated(a: tuple, b: tuple) -> bool:
 
 
 def encode(cb: Codebook, symbols) -> tuple[str, ...]:
-    """Concatenate the symbols' codewords channel-wise."""
+    """Concatenate the symbols' codewords channel-wise, one join per codebook column.
+
+    Symbols are walked one by one only if a pass at C speed finds one that is not a
+    plain int in range: the walk accepts int subclasses but bool, and names the first bad one.
+    """
     m = cb.m
     if m == 1:
         raise DegenerateCodeError("a one-symbol code has an empty codeword and cannot be streamed")
     idx = list(symbols)
-    for pos, s in enumerate(idx):
-        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < m:
-            raise ValueError(f"symbols[{pos}]: index {s!r} out of range 0..{m - 1}")
+    distinct = set(idx) if set(map(type, idx)) <= {int} else None
+    if distinct is None or distinct and not 0 <= min(distinct) <= max(distinct) < m:
+        for pos, s in enumerate(idx):
+            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < m:
+                raise ValueError(f"symbols[{pos}]: index {s!r} out of range 0..{m - 1}")
     return tuple(
-        digits.concat((cb.words[s][i] for s in idx), q) for i, q in enumerate(cb.sizes)
+        "".join(map(column.__getitem__, idx)) if q <= 36
+        else ",".join(filter(None, map(column.__getitem__, idx)))
+        for column, q in zip(cb.columns, cb.sizes)
     )
 
 

@@ -73,8 +73,3 @@ def length(text: str, q: int) -> int:
         return 0
     return len(text) if q <= 36 else text.count(",") + 1
 
-
-def concat(parts: Iterable[str], q: int) -> str:
-    """Channel-wise concatenation; codeword boundaries stay implicit."""
-    nonempty = [p for p in parts if p]
-    return "".join(nonempty) if q <= 36 else ",".join(nonempty)

@@ -89,12 +89,12 @@ class MultiChannelHuffmanCoder:
     def transform(self, X) -> tuple[str, ...]:
         """Encode symbols into one digit string per channel, in the caller's channel order."""
         self._check_fitted()
-        indices = []
-        for pos, sym in enumerate(X):
-            j = self._index.get(sym)
-            if j is None:
-                raise ValueError(f"symbol {sym!r} at position {pos} was not seen during fit")
-            indices.append(j)
+        symbols = list(X)
+        try:
+            indices = list(map(self._index.__getitem__, symbols))
+        except KeyError:
+            pos, sym = next((pos, sym) for pos, sym in enumerate(symbols) if sym not in self._index)
+            raise ValueError(f"symbol {sym!r} at position {pos} was not seen during fit") from None
         canonical = encode(self.codebook_, indices)
         return tuple(canonical[c] for c in self.profile_.canonical_index)
 

@@ -43,7 +43,8 @@ class Codebook:
     """Per-symbol codewords; ``words[j][i]`` is symbol j's digits on channel i.
 
     Construction checks every word, a channel's column at a time.
-    ``parsed[j][i]`` holds the same digits as ints, parsed on first use.
+    ``parsed[j][i]`` holds the same digits as ints, parsed on first use, and
+    ``columns[i]`` channel i's strings as a list (fast to index; never changed).
     """
 
     words: tuple[tuple[str, ...], ...]
@@ -72,6 +73,10 @@ class Codebook:
     @functools.cached_property
     def parsed(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return tuple(tuple(map(digits.parse, word, self.sizes)) for word in self.words)
+
+    @functools.cached_property
+    def columns(self) -> tuple[list[str], ...]:
+        return tuple([word[i] for word in self.words] for i in range(len(self.sizes)))
 
     @property
     def m(self) -> int:

@@ -212,6 +212,27 @@ def reference_codewords(root, sizes) -> tuple[dict[int, tuple[str, ...]], list[i
     return words, dummy_depths
 
 
+def walking_encode(cb, symbols) -> tuple[str, ...]:
+    """``codec.encode`` as it was before its column joins: one check and one lookup per symbol.
+
+    Every symbol is checked in a Python loop, and each channel's stream
+    joins the nonempty components of the symbols' words. It is the oracle
+    for the column-wise encoder's streams, exception types and messages.
+    """
+    m = cb.m
+    if m == 1:
+        raise DegenerateCodeError("a one-symbol code has an empty codeword and cannot be streamed")
+    idx = list(symbols)
+    for pos, s in enumerate(idx):
+        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < m:
+            raise ValueError(f"symbols[{pos}]: index {s!r} out of range 0..{m - 1}")
+    streams = []
+    for i, q in enumerate(cb.sizes):
+        nonempty = [p for p in (cb.words[s][i] for s in idx) if p]
+        streams.append("".join(nonempty) if q <= 36 else ",".join(nonempty))
+    return tuple(streams)
+
+
 def walking_decode(root, streams, count: int | None = None) -> list[int]:
     """``codec.decode`` as it was before its lookahead tables: one digit per step.
 

@@ -13,6 +13,12 @@ class TestFitTransform:
         assert len(streams) == 2
         assert coder.inverse_transform(streams) == data
 
+    def test_generator_and_str_encode_as_the_list(self):
+        data = list("abracadabra")
+        coder = MultiChannelHuffmanCoder(channels=(2, 3)).fit(data)
+        streams = coder.transform(data)
+        assert coder.transform(sym for sym in data) == coder.transform("abracadabra") == streams
+
     def test_classes_sorted_by_frequency(self):
         coder = MultiChannelHuffmanCoder(channels=(2, 3)).fit("aaabbc")
         assert coder.classes_[-1] == "a"
@@ -77,6 +83,20 @@ class TestValidation:
         coder = MultiChannelHuffmanCoder().fit("aabb")
         with pytest.raises(ValueError, match="position 1"):
             coder.transform(["a", "z"])
+
+    def test_first_of_several_unknown_symbols_is_named(self):
+        coder = MultiChannelHuffmanCoder().fit("aabbc")
+        with pytest.raises(ValueError) as raised:
+            coder.transform(iter(["a", "y", "b", "z", "y"]))
+        assert str(raised.value) == "symbol 'y' at position 1 was not seen during fit"
+
+    def test_unhashable_symbol(self):
+        coder = MultiChannelHuffmanCoder().fit("aabbc")
+        with pytest.raises(TypeError, match="unhashable"):
+            coder.transform(["a", ["b"], "z"])
+        # a symbol never seen before it is reported first, as the symbols are read in order
+        with pytest.raises(ValueError, match="position 1"):
+            coder.transform(["a", "z", ["b"]])
 
     def test_degenerate_data(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,7 +52,9 @@ from helpers import (
     heap_merged_total,
     memo_optimal_search,
     pattern_parse,
+    random_shape_tree,
     random_tree,
+    walking_encode,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -398,6 +401,55 @@ def test_decode_raises_only_codec_errors(dist, profile, rng, data):
     except CodecError:
         return
     assert all(0 <= s < dist.m for s in symbols)
+
+
+# three channels, and a q > 36 channel that some words leave empty
+ENCODE_CHANNELS = ((2, 2, 3), (2, 3, 5), (2, 40), (2, 3, 40))
+
+
+class Symbol(IntEnum):
+    FIRST = 0
+    SECOND = 1
+
+
+# symbols encode must walk to judge: rejected ones ("m" stands for the codebook's size)
+# and an int subclass it accepts whenever the code has two or more words
+ODD_SYMBOLS = (True, -1, "m", 2**70, 1.0, "1", None, Symbol.SECOND)
+
+
+@st.composite
+def encode_inputs(draw):
+    """A codebook, tree-built or of random words (none at all, some empty), and its symbols."""
+    sizes = draw(st.sampled_from(ENCODE_CHANNELS))
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        cb = codebook_from_tree(random_shape_tree(rng, sizes, draw(st.integers(2, 12))), sizes)
+    else:
+        component = [
+            st.lists(st.integers(0, q - 1), max_size=3).map(lambda vs, q=q: digits.render(vs, q))
+            for q in sizes
+        ]
+        cb = Codebook(words=tuple(draw(st.lists(st.tuples(*component), max_size=8))), sizes=sizes)
+    symbols = draw(st.lists(st.integers(0, cb.m - 1), max_size=40)) if cb.m else []
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.sampled_from(ODD_SYMBOLS))
+        symbols.insert(draw(st.integers(0, len(symbols))), cb.m if odd == "m" else odd)
+    return cb, symbols, draw(st.sampled_from((list, tuple, iter)))
+
+
+def encode_outcome(encoder, cb, symbols, form):
+    try:
+        return encoder(cb, form(symbols))
+    except (ValueError, CodecError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(encode_inputs())
+def test_encode_is_the_walking_encoder(case):
+    """Same streams byte for byte, or the same exception type and message, for lists and generators."""
+    cb, symbols, form = case
+    assert encode_outcome(encode, cb, symbols, form) == encode_outcome(walking_encode, cb, symbols, form)
 
 
 TREE_MUTATIONS = (
