@@ -23,6 +23,7 @@ streams.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -123,11 +124,14 @@ def _load_codebook(path: Path, data: dict) -> Codebook:
         raise CliError(f'{path}: "channels" must be an array of integers >= 2')
     if not isinstance(words, list) or not words:
         raise CliError(f'{path}: "words" must be a non-empty array')
-    for j, word in enumerate(words):
-        if not isinstance(word, list) or not all(isinstance(c, str) for c in word):
-            raise CliError(f"{path}: words[{j}]: must be an array of per-channel digit strings")
+    # the shapes are checked at C speed; the words are walked only to name the first bad one
+    components = itertools.chain.from_iterable(words)
+    if not set(map(type, words)) <= {list} or not set(map(type, components)) <= {str}:
+        for j, word in enumerate(words):
+            if not isinstance(word, list) or not all(isinstance(c, str) for c in word):
+                raise CliError(f"{path}: words[{j}]: must be an array of per-channel digit strings")
     try:
-        return Codebook(words=tuple(tuple(word) for word in words), sizes=tuple(channels))
+        return Codebook(words=tuple(map(tuple, words)), sizes=tuple(channels))
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -313,6 +317,7 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was and fills a fresh Namespace per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mchuff",

@@ -77,31 +77,38 @@ class Distribution:
         Accepts exact rationals or strings such as ``"0.199"`` or ``"1/6"``;
         decimals are read exactly (0.199 becomes 199/1000). A total within
         SUM_TOLERANCE of 1 is repaired by adjusting the last input mass.
-        Strings ``"p/q"`` of ASCII digits are read as ``Fraction(int(p),
-        int(q))``, which equals ``Fraction(v)`` without its regular expression.
+        Strings ``"p/q"`` of nonzero ASCII digit strings, ints and Fractions are
+        read as reduced integer pairs, with no ``Fraction`` made per mass.
         """
-        raw: list[Fraction] = []
+        nums: list[int] = []
+        dens: list[int] = []
         for idx, v in enumerate(values):
             if isinstance(v, bool):
                 raise ValueError(f"masses[{idx}]: a boolean is not a mass, got {v!r}")
             try:
                 if type(v) is str and v.isascii():
                     p, slash, q = v.partition("/")
-                    if slash and p.isdigit() and q.isdigit():
-                        f = Fraction(int(p), int(q))
-                    else:
-                        f = Fraction(v)
+                    # a 0 on either side is left to Fraction, for its value or its refusal
+                    if slash and p.isdigit() and q.isdigit() and (a := int(p)) and (b := int(q)):
+                        g = math.gcd(a, b)
+                        nums.append(a // g)
+                        dens.append(b // g)
+                        continue
+                    f = Fraction(v)
+                elif type(v) is int or type(v) is Fraction:
+                    f = v
                 else:
                     f = Fraction(str(v)) if isinstance(v, float) else Fraction(v)
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise ValueError(f"masses[{idx}]: cannot parse {v!r} as a rational") from exc
             if f.numerator <= 0:
                 raise ValueError(f"masses[{idx}]: mass must be positive, got {f}")
-            raw.append(f)
-        if not raw:
+            nums.append(f.numerator)
+            dens.append(f.denominator)
+        if not nums:
             raise ValueError("a distribution needs at least one mass")
-        scale = math.lcm(*(f.denominator for f in raw))
-        weights = [f.numerator * (scale // f.denominator) for f in raw]
+        scale = math.lcm(*dens)
+        weights = [n * (scale // d) for n, d in zip(nums, dens)]
         total = sum(weights)
         rescaled = False
         if total != scale:

@@ -7,16 +7,10 @@ decimal digits so fixtures stay printable either way.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 _CHAR_VALUE = {c: v for v, c in enumerate(_ALPHABET)}
-# a decimal list departs from what render writes where a character other than an ASCII
-# digit or comma (a sign, space, underscore) survives this deletion, or where
-# _BAD_TOKEN finds an empty token or a leading zero in "," + the list
-_DELETE_DECIMAL = str.maketrans("", "", "0123456789,")
-_BAD_TOKEN = re.compile(r",(?:,|$|0[0-9])")
 # per alphabet size q <= 36, a translation that deletes the q digit characters
 _DELETE_DIGITS = [str.maketrans("", "", _ALPHABET[:q]) for q in range(37)]
 
@@ -39,10 +33,11 @@ def parse(text: str, q: int) -> tuple[int, ...]:
             vals = tuple(_CHAR_VALUE[c] for c in text)
         except KeyError as exc:
             raise ValueError(f"invalid digit {exc.args[0]!r} for alphabet size {q}") from None
-    elif not _canonical_decimal(text):
-        raise ValueError(f"invalid digit list {text!r} for alphabet size {q}")
     else:
-        vals = tuple(map(int, text.split(",")))
+        tokens = text.split(",")
+        if not all(map(_decimal_digit, set(tokens))):
+            raise ValueError(f"invalid digit list {text!r} for alphabet size {q}")
+        vals = tuple(map(int, tokens))
     if vals and max(vals) >= q:  # every digit read is at least 0
         bad = next(v for v in vals if v >= q)
         raise ValueError(f"digit {bad} out of range for alphabet size {q}")
@@ -52,19 +47,21 @@ def parse(text: str, q: int) -> tuple[int, ...]:
 def all_valid(texts: Iterable[str], q: int) -> bool:
     """Whether ``parse`` accepts every string of ``texts`` on an alphabet of int size q >= 2.
 
-    The strings are checked joined, at C speed: base-36 digits all lie
-    among the first q letters; decimal lists, joined with commas, are
-    canonical and their largest digit is below q. A non-string may raise
-    TypeError, and a decimal digit too long for ``int`` ValueError.
+    The strings are checked joined: base-36 digits all lie among the first
+    q letters, at C speed; decimal lists are joined with commas, and each
+    distinct token is judged once, as ``parse`` judges it, and must be
+    below q. A non-string may raise TypeError, and a decimal digit too long
+    for ``int`` ValueError.
     """
     if q <= 36:
         return not "".join(texts).translate(_DELETE_DIGITS[q])
     joined = ",".join(filter(None, texts))
-    return not joined or _canonical_decimal(joined) and max(map(int, joined.split(","))) < q
+    return not joined or all(_decimal_digit(t) and int(t) < q for t in set(joined.split(",")))
 
 
-def _canonical_decimal(text: str) -> bool:
-    return not text.translate(_DELETE_DECIMAL) and not _BAD_TOKEN.search("," + text)
+def _decimal_digit(token: str) -> bool:
+    """Whether ``token`` is one digit as ``render`` writes it above 36 letters: ASCII, no leading 0."""
+    return token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")
 
 
 def length(text: str, q: int) -> int:

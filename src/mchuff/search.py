@@ -153,9 +153,11 @@ def _sweep(dist: Distribution, profile: ChannelProfile, score=None) -> SearchRes
     the lexicographically smaller. Without ``score`` every entry is
     extended, and the length is summed last merge first, as a recursion
     over completions adds it. With it, a child's value is ``score(parent
-    value, merged weights, remaining weights, added length, length)``, and
-    only entries within NATS_EPS of their count's minimum are extended, as
-    ``heuristics.pruned_search`` prunes. ``subproblem_count`` is the number
+    value, merged weights, remaining weights, added length, length)``,
+    computed when the sweep reaches the child's count, so a child that a
+    shorter prefix replaces is never scored; only entries within NATS_EPS
+    of their count's minimum are extended, as ``heuristics.pruned_search``
+    prunes. ``subproblem_count`` is the number
     of multisets kept below the root.
     """
     m, scale = dist.m, dist.scale
@@ -165,6 +167,10 @@ def _sweep(dist: Distribution, profile: ChannelProfile, score=None) -> SearchRes
     at: list[dict] = [{} for _ in range(m)] + [{dist.weights: (0.0, 0.0, 0)}]
     for c in range(m, 1, -1):
         here = at[c]
+        if score and c < m:
+            # until now an entry held (parent value, merged weights) in place of its value
+            for key, (length, (value, picked), link) in here.items():
+                here[key] = (length, score(value, picked, key, links[link][1], length), link)
         # with a scorer, only entries within NATS_EPS of the count's best value are extended
         limit = min((value for _, value, _ in here.values()), default=0.0) + NATS_EPS if score else math.inf
         for weights, (length, value, link) in here.items():
@@ -186,7 +192,7 @@ def _sweep(dist: Distribution, profile: ChannelProfile, score=None) -> SearchRes
                     and _unlink(links, link)[0] + (k,) >= _unlink(links, kept[2])[0]
                 ):
                     continue
-                slot[key] = (total, score(value, picked, key, added, total) if score else 0.0, len(links))
+                slot[key] = (total, (value, picked) if score else 0.0, len(links))
                 links.append((k, added, link))
     length, _, link = at[1][(scale,)]
     seq, resummed = _unlink(links, link)
@@ -227,6 +233,7 @@ def replay_sequence(
     items: list[tuple[int, int, Node]] = [(x, j, Leaf(j)) for j, x in enumerate(dist.weights)]
     counter = dist.m
     steps: list[MergeStep] = []
+    step = None
     for t, k in enumerate(sequence):
         if k < 2 or k > len(items):
             raise ValueError(f"step {t}: cannot merge {k} of {len(items)} masses")
@@ -243,10 +250,14 @@ def replay_sequence(
                 raise ValueError(f"step {t}: only the first round may use dummy slots")
         picked = items[:k]
         merged = sum(weight for weight, _, _ in picked)
-        children = tuple(node for _, _, node in picked) + tuple(DummyLeaf() for _ in range(w))
+        children = tuple(node for _, _, node in picked)
+        if w:
+            children += tuple(DummyLeaf() for _ in range(w))
         merge_smallest(items, k, (merged, counter, Internal(ci, children)))
         counter += 1
-        steps.append(MergeStep(k=k, class_index=ci, dummies=w))
+        if step is None or (step.k, step.class_index, step.dummies) != (k, ci, w):
+            step = MergeStep(k=k, class_index=ci, dummies=w)  # equal steps share one frozen object
+        steps.append(step)
     if len(items) != 1:
         raise ValueError("merge sequence does not reduce the masses to one")
     return items[0][2], tuple(steps)

@@ -224,11 +224,12 @@ def _post_order(root: Node, dist: Distribution, visit, paths: bool = False) -> N
     in which out-of-range symbols weigh 0.
     """
     symbols: list[int] = []
+    weights, m = dist.weights, dist.m
 
     def walk(node: Node, path: str) -> int:
         if isinstance(node, Leaf):
             symbols.append(node.symbol)
-            return dist.weights[node.symbol] if 0 <= node.symbol < dist.m else 0
+            return weights[node.symbol] if 0 <= node.symbol < m else 0
         if isinstance(node, DummyLeaf):
             return 0
         child_weights = []
@@ -239,7 +240,7 @@ def _post_order(root: Node, dist: Distribution, visit, paths: bool = False) -> N
         return s
 
     walk(root, "root")
-    if sorted(symbols) != list(range(dist.m)):
+    if sorted(symbols) != list(range(m)):
         raise ValueError("tree leaves do not match the distribution's symbols")
 
 
@@ -286,7 +287,12 @@ def local_redundancy(root: Node, dist: Distribution) -> RedundancyReport:
     def record(path: str, s: int, child_weights: list[int]) -> None:
         sf = s / dist.scale
         alpha = len(child_weights)
-        h = entropy([cw / s for cw in child_weights if cw])
+        # the branching entropy as ``entropy`` adds it: left to right, skipping 0.0
+        total = 0.0
+        for cw in child_weights:
+            if cw and (f := cw / s):
+                total += f * math.log(f)
+        h = -total + 0.0
         r = sf * (math.log(alpha) - h)
         records.append(NodeRedundancy(path, sf, h, alpha, r))
 

@@ -49,7 +49,7 @@ from mchuff import (
 )
 from mchuff import digits
 from mchuff.cli import main as cli_main
-from mchuff.core import ordered_sum
+from mchuff.core import SUM_TOLERANCE, ordered_sum
 from mchuff.heuristics import MAX_PREFIXES, prefix_count
 from mchuff.huffman import huffman_merged_total
 from mchuff.search import merge_options, merge_prefixes, merge_smallest
@@ -166,6 +166,56 @@ def eager_codebook_check(words, sizes) -> tuple[tuple[tuple[int, ...], ...], ...
     if any(q < 2 for q in sizes):
         raise ValueError("every channel alphabet size must be at least 2")
     return tuple(parsed)
+
+
+def fraction_from_masses(values) -> Distribution:
+    """``Distribution.from_masses`` as it was when it made one ``Fraction`` per mass.
+
+    The oracle for the integer-pair reading of masses: every value, weight,
+    order, flag and error message must come out the same.
+    """
+    raw: list[Fraction] = []
+    for idx, v in enumerate(values):
+        if isinstance(v, bool):
+            raise ValueError(f"masses[{idx}]: a boolean is not a mass, got {v!r}")
+        try:
+            if type(v) is str and v.isascii():
+                p, slash, q = v.partition("/")
+                if slash and p.isdigit() and q.isdigit():
+                    f = Fraction(int(p), int(q))
+                else:
+                    f = Fraction(v)
+            else:
+                f = Fraction(str(v)) if isinstance(v, float) else Fraction(v)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ValueError(f"masses[{idx}]: cannot parse {v!r} as a rational") from exc
+        if f.numerator <= 0:
+            raise ValueError(f"masses[{idx}]: mass must be positive, got {f}")
+        raw.append(f)
+    if not raw:
+        raise ValueError("a distribution needs at least one mass")
+    scale = math.lcm(*(f.denominator for f in raw))
+    weights = [f.numerator * (scale // f.denominator) for f in raw]
+    total = sum(weights)
+    rescaled = False
+    if total != scale:
+        if abs(total - scale) * SUM_TOLERANCE.denominator > scale * SUM_TOLERANCE.numerator:
+            try:
+                approx = total / scale
+            except OverflowError:  # a total beyond the float range, as from "9e999"
+                approx = math.inf
+            raise ValueError(
+                f"masses sum to {Fraction(total, scale)} ~ {approx}, too far from 1 to rescale"
+            )
+        weights[-1] += scale - total
+        if weights[-1] <= 0:
+            raise ValueError("rescaling the total to 1 made the last mass non-positive")
+        g = math.gcd(scale, *weights)
+        scale //= g
+        weights = [w // g for w in weights]
+        rescaled = True
+    order = sorted(range(len(weights)), key=weights.__getitem__)  # stable: ties keep input order
+    return Distribution(tuple(weights[j] for j in order), scale, tuple(order), rescaled)
 
 
 # the one pattern that found a decimal list render never writes, before digits split the

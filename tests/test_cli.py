@@ -346,7 +346,10 @@ class TestCodecCommands:
 
 
 class TestOneProcess:
-    """``main`` keeps nothing from one call to the next: each output equals a fresh process's."""
+    """``main`` keeps nothing that shows from one call to the next: each output equals a fresh process's.
+
+    The parser is built once per process and shared by every call.
+    """
 
     def fresh(self, argv: list[str]) -> tuple[int, str, str]:
         run = subprocess.run(
@@ -369,6 +372,8 @@ class TestOneProcess:
         (tmp_path / "syms.txt").write_text("4 0 3 1 2 2 4 0 1 3\n")
         single, default, streams = tmp_path / "single", tmp_path / "default", tmp_path / "s.json"
         book = str(default / "codebook.json")
+        # a number where a digit string belongs, in words[1]
+        numbered = write_json(tmp_path / "n.json", {"channels": [2, 3], "words": [["0", ""], ["1", 2]]})
         calls = [  # each command line and the files it writes
             (["build", str(dist), "--method", "single=1", "--out-dir", str(single)],
              [single / name for name in ("tree.json", "codebook.json", "stats.json")]),
@@ -380,6 +385,9 @@ class TestOneProcess:
             (["decode", str(default / "tree.json"), str(streams)], []),
             (["encode", "--no-such-option"], []),
             (["analyze", str(dist)], []),
+            (["--help"], []),
+            (["build", "--help"], []),
+            (["encode", str(numbered), str(tmp_path / "syms.txt")], []),
         ]
         outputs = []
         for argv, files in calls:
@@ -388,3 +396,6 @@ class TestOneProcess:
             outputs.append(got[0])
         assert outputs[5][1] == "4 0 3 1 2 2 4 0 1 3\n"  # to the end of the streams, not 3 symbols
         assert outputs[6][0] == 2
+        assert outputs[8][0] == outputs[9][0] == 0 and outputs[9][1].startswith("usage: mchuff build")
+        named = f"error: {numbered}: words[1]: must be an array of per-channel digit strings\n"
+        assert outputs[10] == (2, "", named)

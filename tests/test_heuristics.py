@@ -250,6 +250,44 @@ class TestSuboptimalBuild:
             assert result.expected_length <= floor + 1e-9
 
 
+class TestScoredOnce:
+    """The sweep scores each multiset it keeps once, when its count is reached."""
+
+    @staticmethod
+    def scored(monkeypatch, build) -> tuple:
+        """``build()``'s result and how often the metric steps it made were called."""
+        calls = []
+        make_step = heuristics._scorer
+
+        def counting_scorer(*args):
+            step = make_step(*args)
+
+            def score(*step_args):
+                calls.append(step_args)
+                return step(*step_args)
+
+            return score
+
+        monkeypatch.setattr(heuristics, "_scorer", counting_scorer)
+        return build(), len(calls)
+
+    def test_geometric_source_on_two_channels(self, monkeypatch):
+        dist = Distribution.from_masses(GEOMETRIC_1200)
+        result, calls = self.scored(monkeypatch, lambda: suboptimal_build(dist, PROFILE))
+        assert calls == result.subproblem_count == 1198
+
+    def test_random_sources(self, monkeypatch):
+        rng = make_rng("scored-once")
+        for trial in range(90):
+            profile = ChannelProfile.from_sizes(ORACLE_CHANNELS[trial % len(ORACLE_CHANNELS)])
+            dist = random_distribution(rng, rng.randint(2, 12))
+            metric = METRICS[trial % len(METRICS)]
+            result, calls = self.scored(
+                monkeypatch, lambda: construct(dist, profile, "prune", metric=metric)
+            )
+            assert calls == result.subproblem_count, (profile.sizes, dist.masses, metric)
+
+
 class TestConstruct:
     def test_dispatches_each_method(self):
         assert construct(BENCHMARK, PROFILE, "optimal") == optimal_search(BENCHMARK, PROFILE)

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tempfile
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +50,7 @@ from helpers import (
     ORACLE_CHANNELS,
     dummy_length_tuples,
     eager_codebook_check,
+    fraction_from_masses,
     heap_merged_total,
     memo_optimal_search,
     pattern_parse,
@@ -107,7 +109,10 @@ def parse_outcome(parse, text: str, q: int):
 @example("1,,2", 40)
 @example(" 1", 40)
 @example("1,\n", 40)
-@given(st.text(alphabet="0123456789,+- _|", max_size=14), st.sampled_from([37, 40, 1000]))
+@example("1,٣", 40)
+@example("²", 40)
+@example("３", 40)
+@given(st.text(alphabet="0123456789,+- _|٣²３", max_size=14), st.sampled_from([37, 40, 1000]))
 def test_decimal_lists_checked_as_the_single_pattern(text, q):
     """parse and all_valid give the verdicts and messages they gave with one regular expression."""
     assert parse_outcome(digits.parse, text, q) == parse_outcome(pattern_parse, text, q)
@@ -216,7 +221,8 @@ def test_weights_do_not_depend_on_input_order(masses_and_shuffled):
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
-# ways to write a mass p/q; all but the last two keep its value
+# ways to write a mass p/q: most keep its value, the float and decimal ones up to rounding;
+# the two Arabic-Indic ones and p // q do not
 mass_styles = st.sampled_from([
     lambda p, q: f"{p}/{q}",
     lambda p, q: f" {p}/{q}\n",
@@ -224,17 +230,25 @@ mass_styles = st.sampled_from([
     lambda p, q: f"{p} / {q}",
     lambda p, q: f"00{p}/00{q}",
     lambda p, q: f"{p}_0/{q}0",
+    lambda p, q: f"{p * 3}/{q * 3}",
     lambda p, q: f"{p}/{q}".translate(ARABIC_INDIC),
     lambda p, q: f"{p}/{q}".translate(ARABIC_INDIC)[:1] + f"{p}/{q}"[1:],
     lambda p, q: f"{p / q:.12f}",
     lambda p, q: f"{p / q:.6e}",
+    lambda p, q: Fraction(p, q),
+    lambda p, q: p // q,
+    lambda p, q: p / q,
+    lambda p, q: Decimal(p) / Decimal(q),
 ])
-# strings that Fraction refuses or reads as a non-positive mass, or that take its slow path
+# masses that Fraction refuses or reads as non-positive, or that take its slow path
 odd_masses = st.one_of(
     st.sampled_from(["0/5", "1/0", "-1/2", "1/-2", "1.0/2", "1e0/2", "/", "1/2/3", "", " ", "½", "٣/4",
                      "1 / 2", "1_000/3", "1__0/3", "0.25", "-0", "1e-3", "2E-1", "9e999", "inf", "nan",
-                     "0x1/2"]),
+                     "0x1/2", "00/1", "1/00", "0/0"]),
     st.text(alphabet="0123456789/._+-eE ٣", max_size=6),
+    st.sampled_from([Fraction(0), Fraction(-1, 2), Fraction(3, 4), 0, -3, 1, 2, True, False, 0.0, -0.5,
+                     0.25, math.nan, math.inf, Decimal(0), Decimal(-1), Decimal("0.25"), Decimal("NaN"),
+                     None, [1]]),
 )
 
 
@@ -247,24 +261,27 @@ def mass_outcome(parse):
     return dist.weights, dist.scale, dist.input_order, dist.rescaled
 
 
-def fraction_or_refusal(idx: int, v: str) -> Fraction:
-    try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"masses[{idx}]: cannot parse {v!r} as a rational") from exc
-
-
 @settings(PROPERTY_SETTINGS, max_examples=150)
 @given(normalized, st.data())
 def test_mass_strings_read_as_fraction_reads_them(masses, data):
-    strings = [data.draw(mass_styles)(p.numerator, p.denominator) for p in masses]
+    """from_masses reads every kind of mass as the one-Fraction-per-mass reading did."""
+    values = [data.draw(mass_styles)(p.numerator, p.denominator) for p in masses]
     for _ in range(data.draw(st.integers(0, 2))):
-        strings[data.draw(st.integers(0, len(strings) - 1))] = data.draw(odd_masses)
-    # the reference hands from_masses each string as Fraction(v), refusing what Fraction refuses
-    reference = mass_outcome(
-        lambda: Distribution.from_masses(fraction_or_refusal(i, v) for i, v in enumerate(strings))
-    )
-    assert mass_outcome(lambda: Distribution.from_masses(strings)) == reference
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(odd_masses)
+    reference = mass_outcome(lambda: fraction_from_masses(values))
+    assert mass_outcome(lambda: Distribution.from_masses(values)) == reference
+
+
+@PROPERTY_SETTINGS
+@given(normalized.flatmap(lambda ps: st.tuples(st.just(ps), st.lists(st.integers(1, 6), min_size=len(ps),
+                                                                     max_size=len(ps)))))
+def test_unreduced_mass_strings_read_in_lowest_terms(masses_and_factors):
+    """A "p/q" string with a common factor gives the weights and scale of its reduced form."""
+    masses, factors = masses_and_factors
+    strings = [f"{p.numerator * k}/{p.denominator * k}" for p, k in zip(masses, factors)]
+    assert mass_outcome(lambda: Distribution.from_masses(strings)) == mass_outcome(
+        lambda: fraction_from_masses(strings)
+    ) == mass_outcome(lambda: Distribution.from_masses(masses))
 
 
 @PROPERTY_SETTINGS
