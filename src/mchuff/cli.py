@@ -17,7 +17,9 @@ written, codebook words whose components are not digit strings,
 construction requests ``construct`` rejects, such as an unknown pruning
 metric or a pruned search on one mass, and inputs whose trees nest too
 deeply for Python's recursion limit), 3 corrupt streams, 4 truncated
-streams.
+streams. ``main`` is the one place that maps exceptions to exit codes:
+every ``ValueError`` the library raises becomes exit 2 with its own
+message; the command functions wrap one only to prefix a file path.
 """
 
 from __future__ import annotations
@@ -76,8 +78,23 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", "utf-8")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(text: str, out: str | Path | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is unset."""
+    if out:
+        Path(out).write_text(text, "utf-8")
+    else:
+        print(text, end="")
+
+
+def _channels(path: Path, data: dict) -> list[int]:
+    channels = data.get("channels")
+    if not isinstance(channels, list) or not all(isinstance(q, int) and q >= 2 for q in channels):
+        raise CliError(f'{path}: "channels" must be an array of integers >= 2')
+    return channels
 
 
 def _codebook_json(
@@ -118,10 +135,8 @@ def _load_distribution(path: Path) -> tuple[Distribution, ChannelProfile]:
 
 
 def _load_codebook(path: Path, data: dict) -> Codebook:
-    channels = data.get("channels")
+    channels = _channels(path, data)
     words = data.get("words")
-    if not isinstance(channels, list) or not all(isinstance(q, int) and q >= 2 for q in channels):
-        raise CliError(f'{path}: "channels" must be an array of integers >= 2')
     if not isinstance(words, list) or not words:
         raise CliError(f'{path}: "words" must be a non-empty array')
     # the shapes are checked at C speed; the words are walked only to name the first bad one
@@ -174,10 +189,7 @@ def _construct(dist: Distribution, profile: ChannelProfile, method: str) -> Sear
         method, kwargs = "single", {"channel": user_channel - 1}
     else:
         raise CliError(f"unknown method {method!r}")
-    try:
-        return construct(dist, profile, method, **kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return construct(dist, profile, method, **kwargs)
 
 
 def cmd_build(args) -> int:
@@ -192,24 +204,20 @@ def cmd_build(args) -> int:
     canon = profile.canonical_index
     user_words = [[word[c] for c in canon] for word in codebook.words]
 
-    tree_text = tree_to_json(result.tree, user_sizes, profile.user_order)
-    (out_dir / "tree.json").write_text(tree_text + "\n", "utf-8")
-    codebook_text = _codebook_json(user_sizes, user_words, dist.input_order)
-    (out_dir / "codebook.json").write_text(codebook_text + "\n", "utf-8")
-    _write_json(
-        out_dir / "stats.json",
-        {
-            "method": args.method,
-            "expected_length_nats": result.expected_length,
-            "entropy_nats": report.entropy,
-            "redundancy_nats": report.total_redundancy,
-            "merge_sequence": list(result.sequence),
-            "merge_channels": [profile.user_order[s.class_index] + 1 for s in result.steps],
-            "dummy_leaves": result.dummy_leaves,
-            "kraft_sum": str(kraft_sum(codebook.length_tuples(), profile)),
-            "rescaled": dist.rescaled,
-        },
-    )
+    _emit(tree_to_json(result.tree, user_sizes, profile.user_order) + "\n", out_dir / "tree.json")
+    _emit(_codebook_json(user_sizes, user_words, dist.input_order) + "\n", out_dir / "codebook.json")
+    stats = {
+        "method": args.method,
+        "expected_length_nats": result.expected_length,
+        "entropy_nats": report.entropy,
+        "redundancy_nats": report.total_redundancy,
+        "merge_sequence": list(result.sequence),
+        "merge_channels": [profile.user_order[s.class_index] + 1 for s in result.steps],
+        "dummy_leaves": result.dummy_leaves,
+        "kraft_sum": str(kraft_sum(codebook.length_tuples(), profile)),
+        "rescaled": dist.rescaled,
+    }
+    _emit(_json_text(stats), out_dir / "stats.json")
     print(f"expected length: {result.expected_length:.10f} nats")
     print("merge sequence: " + ",".join(str(k) for k in result.sequence))
     print(f"wrote {out_dir / 'tree.json'}, {out_dir / 'codebook.json'}, {out_dir / 'stats.json'}")
@@ -217,11 +225,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    text = tables.render_all()
-    if args.out:
-        Path(args.out).write_text(text, "utf-8")
-    else:
-        print(text, end="")
+    _emit(tables.render_all(), args.out)
     return EXIT_OK
 
 
@@ -230,12 +234,9 @@ def cmd_enumerate(args) -> int:
         sizes = [int(tok) for tok in args.channels.split(",")]
     except ValueError:
         raise CliError(f"--channels must be comma-separated integers, got {args.channels!r}") from None
-    try:
-        for prefix, count in merge_prefixes(args.m, ChannelProfile.from_sizes(sizes)):
-            if count == 1:
-                print(",".join(str(k) for k in prefix))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    for prefix, count in merge_prefixes(args.m, ChannelProfile.from_sizes(sizes)):
+        if count == 1:
+            print(",".join(str(k) for k in prefix))
     return EXIT_OK
 
 
@@ -252,24 +253,14 @@ def cmd_encode(args) -> int:
             except ValueError:
                 raise CliError(f"{args.symbols}: {tok!r} is not a symbol index") from None
         raise
-    try:
-        streams = encode(cb, symbols)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    payload = {"streams": list(streams)}
-    if args.out:
-        _write_json(Path(args.out), payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(_json_text({"streams": list(encode(cb, symbols))}), args.out)
     return EXIT_OK
 
 
 def _decoding_tree(path: Path):
     data = _read_json(path)
     if "root" in data:
-        channels = data.get("channels")
-        if not isinstance(channels, list) or not all(isinstance(q, int) and q >= 2 for q in channels):
-            raise CliError(f'{path}: "channels" must be an array of integers >= 2')
+        channels = _channels(path, data)
         try:
             root = tree_from_obj(data["root"])
         except ValueError as exc:
@@ -305,15 +296,8 @@ def cmd_decode(args) -> int:
         raise CliError(f'{args.streams}: "streams" must be an array of strings')
     if len(streams) != n:
         raise CliError(f"{args.streams}: expected {n} streams, got {len(streams)}")
-    try:
-        symbols = decode(root, tuple(streams), count=args.count)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    line = " ".join(map(str, symbols))
-    if args.out:
-        Path(args.out).write_text(line + "\n", "utf-8")
-    else:
-        print(line)
+    symbols = decode(root, tuple(streams), count=args.count)
+    _emit(" ".join(map(str, symbols)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -368,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DegenerateCodeError, OSError, RecursionError, UnicodeDecodeError) as exc:
+    except (CliError, DegenerateCodeError, OSError, RecursionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TruncationError as exc:

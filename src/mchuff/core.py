@@ -99,7 +99,8 @@ class Distribution:
                     f = v
                 else:
                     f = Fraction(str(v)) if isinstance(v, float) else Fraction(v)
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+            # OverflowError: Fraction(Decimal("Infinity")), of either sign
+            except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
                 raise ValueError(f"masses[{idx}]: cannot parse {v!r} as a rational") from exc
             if f.numerator <= 0:
                 raise ValueError(f"masses[{idx}]: mass must be positive, got {f}")

@@ -26,6 +26,8 @@ def render(values: Iterable[int], q: int) -> str:
 
 
 def parse(text: str, q: int) -> tuple[int, ...]:
+    if not isinstance(text, str):
+        raise TypeError(f"a digit string must be a str, got {text!r}")
     if not text:
         return ()
     if q <= 36:
@@ -50,12 +52,12 @@ def all_valid(texts: Iterable[str], q: int) -> bool:
     The strings are checked joined: base-36 digits all lie among the first
     q letters, at C speed; decimal lists are joined with commas, and each
     distinct token is judged once, as ``parse`` judges it, and must be
-    below q. A non-string may raise TypeError, and a decimal digit too long
+    below q. A non-string raises TypeError, and a decimal digit too long
     for ``int`` ValueError.
     """
     if q <= 36:
         return not "".join(texts).translate(_DELETE_DIGITS[q])
-    joined = ",".join(filter(None, texts))
+    joined = ",".join(filter(str.__len__, texts))  # drops empty strings; a non-string raises TypeError
     return not joined or all(_decimal_digit(t) and int(t) < q for t in set(joined.split(",")))
 
 

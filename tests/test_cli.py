@@ -58,6 +58,13 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "d.json")]) == 2
         assert "utf-8" in capsys.readouterr().err
 
+    def test_non_utf8_file_message(self, tmp_path, capsys):
+        (tmp_path / "d.json").write_bytes(b"\xff\xfe")
+        assert main(["analyze", str(tmp_path / "d.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", {"masses": ["0.5", "oops"], "channels": [2, 3]})
         assert main(["analyze", str(dist)]) == 2
@@ -161,6 +168,20 @@ class TestBuild:
         assert "Traceback" not in err
         assert not (tmp_path / "tree.json").exists()
 
+    @pytest.mark.parametrize(
+        "method, masses, line",
+        [
+            ("prune=entropy", ["1"], "need at least two masses to merge"),
+            ("prune=vibes", ["1/2", "1/2"], "unknown metric 'vibes'; choose one of ('redundancy', "
+             "'expected_length', 'entropy', 'expected_plus_entropy', 'huffman_completion')"),
+        ],
+        ids=["prune-one-mass", "prune-unknown-metric"],
+    )
+    def test_rejected_construction_message(self, tmp_path, capsys, method, masses, line):
+        dist = write_json(tmp_path / "d.json", {"masses": masses, "channels": [2]})
+        assert main(["build", str(dist), "--method", method, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     def test_out_dir_is_a_file_exits_2(self, tmp_path, capsys):
         dist = write_json(tmp_path / "d.json", BENCHMARK)
         assert main(["build", str(dist), "--out-dir", str(dist)]) == 2
@@ -212,6 +233,19 @@ class TestEnumerate:
 
     def test_bad_m_exits_2(self, capsys):
         assert main(["enumerate", "--m", "1", "--channels", "2,3"]) == 2
+
+    @pytest.mark.parametrize(
+        "m, channels, line",
+        [
+            ("1", "2,3", "need at least two masses to merge"),
+            ("5", "1", "channels[0]: alphabet size must be an integer >= 2, got 1"),
+            ("5", "2,x", "--channels must be comma-separated integers, got '2,x'"),
+        ],
+        ids=["one-mass", "one-letter-channel", "not-an-integer"],
+    )
+    def test_rejected_request_message(self, capsys, m, channels, line):
+        assert main(["enumerate", "--m", m, "--channels", channels]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 class TestCodecCommands:
@@ -326,6 +360,26 @@ class TestCodecCommands:
             ["decode", str(out / "tree.json"), str(tmp_path / "streams.json"), "--count", "-1"]
         ) == 2
         assert "non-negative" in capsys.readouterr().err
+
+    def test_negative_count_message(self, tmp_path, capsys):
+        out = self.build(tmp_path)
+        write_json(tmp_path / "streams.json", {"streams": ["0", "1"]})
+        capsys.readouterr()
+        assert main(
+            ["decode", str(out / "tree.json"), str(tmp_path / "streams.json"), "--count", "-1"]
+        ) == 2
+        assert capsys.readouterr() == ("", "error: count must be non-negative, got -1\n")
+
+    def test_out_of_range_symbol_exits_2(self, tmp_path, capsys):
+        out = self.build(tmp_path)
+        (tmp_path / "syms.txt").write_text("0 4 1\n")
+        streams = tmp_path / "streams.json"
+        capsys.readouterr()
+        assert main(
+            ["encode", str(out / "codebook.json"), str(tmp_path / "syms.txt"), "--out", str(streams)]
+        ) == 2
+        assert capsys.readouterr() == ("", "error: symbols[1]: index 4 out of range 0..3\n")
+        assert not streams.exists()
 
     def test_count_mismatch_exits_3(self, tmp_path):
         out = self.build(tmp_path)

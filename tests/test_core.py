@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,12 @@ class TestDistribution:
         except ValueError as exc:
             got = str(exc)
         assert got == expected
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity"])
+    def test_infinite_decimal_is_unparsable(self, text):
+        message = rf"^masses\[0\]: cannot parse Decimal\('{text}'\) as a rational$"
+        with pytest.raises(ValueError, match=message):
+            Distribution.from_masses([Decimal(text)])
 
     def test_total_beyond_float_range(self):
         with pytest.raises(ValueError, match=r"^masses sum to 180{998}1/2 ~ inf, too far from 1 to rescale$"):

@@ -4,6 +4,8 @@ Examples are derandomized, so every run checks the same inputs.
 """
 
 import contextlib
+import copy
+import functools
 import io
 import json
 import math
@@ -541,3 +543,124 @@ def test_decode_cli_rejects_broken_tree_files(dist, profile, how, rng):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(["decode", str(tree_file), str(streams_file)])
     assert code in (2, 3, 4)
+
+
+# JSON values a malformed file holds where a well-formed one has something else
+json_junk = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 41), st.floats(-1e3, 1e3),
+        st.text(alphabet="0123456789/.,-e az٣", max_size=5),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["masses", "channels", "words", "root", "class", "children",
+                                         "symbol", "dummy", "streams"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+# file contents that are not JSON objects, or not text
+raw_junk = st.sampled_from([b"", b"{", b"[]", b"null", b'"x"', b"\xff\xfe", b'{"masses": [1e99999]}'])
+symbol_texts = st.lists(
+    st.one_of(st.integers(-2, 7).map(str), st.text(alphabet="0123456789x.-٣", min_size=1, max_size=3)),
+    max_size=12,
+).map(" ".join)
+BUILD_METHODS = ("optimal", "suboptimal", "prune=entropy", "prune=vibes", "single=1", "single=2",
+                 "single=0", "single=x", "magic")
+# the well-formed files come from a source on base-36 channels and one with a 40-ary (decimal-digit) channel
+CLI_SOURCES = (
+    ({"masses": ["0.13", "0.199", "0.212", "0.217", "0.242"], "channels": [2, 3]}, "optimal"),
+    ({"masses": ["1/6", "1/6", "1/6", "1/2"], "channels": [40, 2]}, "single=1"),
+)
+
+
+@functools.cache
+def cli_documents(source: int) -> dict[str, object]:
+    """A well-formed distribution, tree, codebook and streams file, parsed, and the symbols text."""
+    dist, method = CLI_SOURCES[source]
+    symbols = "3 0 2 1 1 0"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "d.json").write_text(json.dumps(dist))
+        (out / "s.txt").write_text(symbols)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["build", str(out / "d.json"), "--method", method, "--out-dir", str(out)]) == 0
+            assert cli_main(["encode", str(out / "codebook.json"), str(out / "s.txt"),
+                             "--out", str(out / "streams.json")]) == 0
+        docs = {name: json.loads((out / f"{name}.json").read_text())
+                for name in ("tree", "codebook", "streams")}
+    return {"dist": dist, "symbols": symbols, **docs}
+
+
+def broken_json(data, doc) -> object:
+    """``doc`` with one value replaced by junk, removed or cut short, or the whole document junk."""
+    doc = copy.deepcopy(doc)
+    places = [(None, None)]  # (container, key); None stands for the document itself
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in items:
+            places.append((node, key))
+            stack.append(value)
+    container, key = data.draw(st.sampled_from(places))
+    how = data.draw(st.sampled_from(["replace", "remove", "cut"]))
+    if container is None:
+        return data.draw(json_junk)
+    if how == "remove":
+        del container[key]
+    elif how == "cut" and isinstance(container[key], (str, list)):
+        container[key] = container[key][:-1]
+    else:
+        container[key] = data.draw(json_junk)
+    return doc
+
+
+def write_input(data, path: Path, well_formed) -> None:
+    """Write ``well_formed``, a broken copy of it, raw junk, or nothing at all, to ``path``."""
+    how = data.draw(st.sampled_from(["keep", "keep", "break", "break", "break", "raw", "missing"]))
+    if how == "raw":
+        path.write_bytes(data.draw(raw_junk))
+    elif how == "missing":
+        return
+    elif isinstance(well_formed, str):
+        path.write_text(well_formed if how == "keep" else data.draw(symbol_texts), "utf-8")
+    else:
+        path.write_text(json.dumps(well_formed if how == "keep" else broken_json(data, well_formed)), "utf-8")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=250)
+@given(st.sampled_from(["analyze", "build", "encode", "decode", "enumerate"]), st.integers(0, 1), st.data())
+def test_cli_ends_every_malformed_call_with_an_exit_code(command, source, data):
+    """0, or 2, 3 or 4 with one stderr line ``error: ...``; no exception leaves ``main``."""
+    docs = cli_documents(source)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == "enumerate":
+            channels = data.draw(st.one_of(st.just("2,3"), st.text(alphabet="0123456789,-x ", max_size=5)))
+            argv = [command, f"--m={data.draw(st.integers(-1, 7))}", f"--channels={channels}"]
+        elif command in ("analyze", "build"):
+            write_input(data, tmp / "d.json", docs["dist"])
+            argv = [command, str(tmp / "d.json")]
+            if command == "build":
+                argv += ["--method", data.draw(st.sampled_from(BUILD_METHODS)), "--out-dir", str(tmp / "out")]
+        elif command == "encode":
+            write_input(data, tmp / "codebook.json", docs["codebook"])
+            write_input(data, tmp / "s.txt", docs["symbols"])
+            argv = [command, str(tmp / "codebook.json"), str(tmp / "s.txt")]
+        else:
+            decoder = data.draw(st.sampled_from(["tree", "codebook"]))
+            write_input(data, tmp / "tree.json", docs[decoder])
+            write_input(data, tmp / "streams.json", docs["streams"])
+            argv = [command, str(tmp / "tree.json"), str(tmp / "streams.json")]
+            count = data.draw(st.one_of(st.none(), st.integers(-2, 8)))
+            argv += [] if count is None else [f"--count={count}"]
+        if data.draw(st.booleans()) and command in ("encode", "decode"):
+            argv += ["--out", str(tmp / "out.txt")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli_main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""

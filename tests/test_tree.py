@@ -32,6 +32,7 @@ from mchuff import (
     tree_to_obj,
     validate_tree,
 )
+from mchuff import digits
 from mchuff.tree import leaf_codewords, tree_to_json
 
 from helpers import (
@@ -71,6 +72,15 @@ class TestCodebook:
         assert "parsed" not in repr(cb)
         with pytest.raises(TypeError):
             Codebook(words=(), sizes=(2,), parsed=())
+
+    @pytest.mark.parametrize("q", [2, 40])
+    @pytest.mark.parametrize("bad", [0, None, False, (), [], ("0", "1"), 1])
+    def test_components_must_be_strings(self, q, bad):
+        # falsy ones once parsed as empty, and a tuple of digit characters as its digits
+        with pytest.raises(TypeError, match=r"^a digit string must be a str, got "):
+            Codebook(words=((bad, "1"), ("1", "0"), ("0", "1")), sizes=(q, 2))
+        with pytest.raises(TypeError):
+            digits.parse(bad, q)
 
 
 class TestValidateTree:
