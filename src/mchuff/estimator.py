@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .codec import decode, encode
+from .codec import _Reader, encode
 from .core import ChannelProfile, Distribution, entropy
 from .heuristics import construct
 from .tree import codebook_from_tree
@@ -80,6 +80,7 @@ class MultiChannelHuffmanCoder:
         self.classes_ = tuple(symbols[dist.input_order[j]] for j in range(dist.m))
         self._index = {sym: j for j, sym in enumerate(self.classes_)}
         self.tree_ = result.tree
+        self._reader = _Reader(result.tree, profile.n, profile.user_order)
         self.codebook_ = codebook_from_tree(result.tree, profile)
         self.merge_sequence_ = result.sequence
         self.expected_length_ = result.expected_length
@@ -99,13 +100,21 @@ class MultiChannelHuffmanCoder:
         return tuple(canonical[c] for c in self.profile_.canonical_index)
 
     def inverse_transform(self, streams) -> list:
-        """Decode channel streams (caller's channel order) back into symbols."""
+        """Decode channel streams (caller's channel order) back into symbols.
+
+        One reader is kept per fitted tree, so its lookahead tables and root
+        window serve every later call; errors name the caller's streams.
+        """
         self._check_fitted()
         streams = tuple(streams)
-        if len(streams) != self.profile_.n:
-            raise ValueError(f"expected {self.profile_.n} streams, got {len(streams)}")
-        canonical = tuple(streams[u] for u in self.profile_.user_order)
-        return [self.classes_[j] for j in decode(self.tree_, canonical)]
+        n, order = self.profile_.n, self.profile_.user_order
+        if len(streams) != n:
+            raise ValueError(f"expected {n} streams, got {len(streams)}")
+        reader = self._reader
+        if reader.root is not self.tree_:  # a replaced tree_, told by identity: tree hashing recurses
+            reader = self._reader = _Reader(self.tree_, n, order)
+        symbols = reader.read(tuple(streams[u] for u in order))
+        return list(map(self.classes_.__getitem__, symbols))
 
     def fit_transform(self, X, y=None) -> tuple[str, ...]:
         return self.fit(X, y).transform(X)

@@ -349,6 +349,92 @@ def walking_decode(root, streams, count: int | None = None) -> list[int]:
     return out
 
 
+#: Channel lists the decoders are checked on damaged streams over: three channels, and q > 36.
+DECODE_CHANNELS = (
+    (2,), (3,), (5,), (36,), (37,), (40,), (2, 3), (3, 2), (2, 40), (37, 3), (5, 2, 3), (36, 2, 40),
+)
+DAMAGES = ("none", "truncated", "cut", "flipped", "padding", "appended", "invalid", "missing")
+
+
+def padding_paths(root, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Per-channel digits that lead from the root to each padding slot."""
+    out = []
+    stack = [(root, ((),) * n)]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, DummyLeaf):
+            out.append(path)
+        elif isinstance(node, Internal):
+            c = node.class_index
+            for d, child in enumerate(node.children):
+                stack.append((child, path[:c] + (path[c] + (d,),) + path[c + 1:]))
+    return out
+
+
+def invalid_token(rng, q: int) -> str:
+    """A digit, or for q > 36 a list token, that ``digits.parse`` rejects on a q-ary channel."""
+    if q > 36:
+        return rng.choice(["", "01", "-1", "+2", " 3", "1_0", str(q), str(q + 7)])
+    return rng.choice("Z-_ " + (digits.render([q], 36) if q < 36 else ""))
+
+
+def damaged_code(rng, sizes=None):
+    """A random code over ``sizes`` (drawn from DECODE_CHANNELS if None): its tree and codewords."""
+    sizes = rng.choice(DECODE_CHANNELS) if sizes is None else sizes
+    m = rng.randint(2, 30)
+    root = random_shape_tree(rng, sizes, m)
+    words, _ = reference_codewords(root, sizes)
+    return sizes, root, words
+
+
+def damaged_streams(rng, root, sizes, words, damages=DAMAGES):
+    """A message encoded in a ``damaged_code``, then maybe damaged, and a count to decode."""
+    length = rng.choice([rng.randint(0, 6), rng.randint(0, 120), rng.randint(400, 2500)])
+    seq = [rng.randrange(len(words)) for _ in range(length)]
+    parts = [tuple(map(digits.parse, words[s], sizes)) for s in seq]
+    how = rng.choice(damages)
+    if how == "padding":
+        parts.insert(rng.randint(0, len(parts)), rng.choice(padding_paths(root, len(sizes)) or [((),) * len(sizes)]))
+    streams = [[d for part in parts for d in part[i]] for i in range(len(sizes))]
+    i = rng.randrange(len(sizes))
+    s = streams[i]
+    if how == "truncated" and s:
+        s.pop()
+    elif how == "cut" and s:
+        del s[rng.randrange(len(s))]
+    elif how == "flipped" and s:
+        s[rng.randrange(len(s))] = rng.randrange(sizes[i])
+    elif how == "appended":
+        s += [rng.randrange(sizes[i]) for _ in range(rng.randint(1, 3))]
+    texts = [digits.render(s, q) for s, q in zip(streams, sizes)]
+    if how == "invalid":
+        if sizes[i] > 36:
+            tokens = texts[i].split(",") if texts[i] else []
+            tokens.insert(rng.randint(0, len(tokens)), invalid_token(rng, sizes[i]))
+            texts[i] = ",".join(tokens)
+        else:
+            at = rng.randint(0, len(texts[i]))
+            texts[i] = texts[i][:at] + invalid_token(rng, sizes[i]) + texts[i][at:]
+    if how == "missing":
+        del texts[-1]
+    count = rng.choice([None, len(seq), len(seq) + 1, len(seq) - 1 if seq else None])
+    return tuple(texts), count
+
+
+def damaged_case(rng):
+    """A random code, a message encoded in it, then maybe damaged, and a count to decode."""
+    sizes, root, words = damaged_code(rng)
+    return (root, *damaged_streams(rng, root, sizes, words))
+
+
+def outcome(decoder, root, streams, count):
+    """Decoded symbols, or the type and message of the exception raised."""
+    try:
+        return decoder(root, streams, count)
+    except Exception as exc:  # noqa: BLE001 - every exception must match the oracle's
+        return type(exc), str(exc)
+
+
 def count_dummies(root) -> int:
     if isinstance(root, DummyLeaf):
         return 1

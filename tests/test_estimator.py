@@ -1,8 +1,29 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 
-from mchuff import MultiChannelHuffmanCoder, NotFittedError
+from mchuff import (
+    CorruptionError,
+    MultiChannelHuffmanCoder,
+    NotFittedError,
+    TrailingDataError,
+    TruncationError,
+    decode,
+)
 
 from helpers import make_rng
+
+
+def zipf_text(tag: str, m: int, k: int) -> list[int]:
+    """k symbols 1..m drawn with weights 1 / j**1.1."""
+    return make_rng(tag).choices(range(1, m + 1), weights=[1 / j**1.1 for j in range(1, m + 1)], k=k)
+
+
+def chunked(coder, text, size: int) -> list[tuple[str, ...]]:
+    return [coder.transform(text[i:i + size]) for i in range(0, len(text), size)]
 
 
 class TestFitTransform:
@@ -69,6 +90,103 @@ class TestFitTransform:
         sub = MultiChannelHuffmanCoder(channels=(2, 3), method="suboptimal").fit(data)
         assert opt.expected_length_ <= sub.expected_length_ + 1e-9
         assert opt.entropy_ - 1e-9 <= opt.expected_length_
+
+
+class TestKeptReader:
+    """inverse_transform keeps one reader per fitted tree; its calls must read as ``decode`` does."""
+
+    def test_refit_decodes_with_the_new_tree(self):
+        coder = MultiChannelHuffmanCoder(channels=(2, 3))
+        for channels, tag in (((2, 3), "first"), ((2, 3), "second"), ((3, 2, 5), "third")):
+            text = zipf_text(f"estimator-refit-{tag}", 14, 3000)
+            coder.set_params(channels=channels).fit(text)
+            chunks = [text[i:i + 300] for i in range(0, len(text), 300)]
+            # the first call of a reader makes its window, the later ones read through it
+            assert [coder.inverse_transform(coder.transform(c)) for c in chunks * 2] == chunks * 2
+            assert coder._reader.root is coder.tree_
+
+    def test_a_replaced_tree_is_read_with_a_new_reader(self):
+        text = zipf_text("estimator-replaced", 14, 3000)
+        coder = MultiChannelHuffmanCoder(channels=(2, 3)).fit(text)
+        other = MultiChannelHuffmanCoder(channels=(2, 3), method="single").fit(text)
+        streams = chunked(other, text, 300)
+        coder.inverse_transform(coder.transform(text))  # the kept reader has read once
+        coder.tree_ = other.tree_
+        canonical = [tuple(s[u] for u in coder.profile_.user_order) for s in streams]
+        assert [coder.inverse_transform(s) for s in streams] == [
+            [coder.classes_[j] for j in decode(other.tree_, c)] for c in canonical
+        ]
+
+    def test_pickle_and_deepcopy_decode_identically(self):
+        text = zipf_text("estimator-copies", 40, 4000)
+        coder = MultiChannelHuffmanCoder(channels=(3, 2), method="suboptimal").fit(text)
+        streams = chunked(coder, text, 400)
+        cut = (streams[0][0], streams[0][1][:-1])
+        expected = [coder.inverse_transform(s) for s in streams]
+        with pytest.raises(TruncationError) as raised:
+            coder.inverse_transform(cut)
+        for twin in (pickle.loads(pickle.dumps(coder)), copy.deepcopy(coder)):
+            assert twin.tree_ == coder.tree_ and twin._reader.root is twin.tree_
+            assert [twin.inverse_transform(s) for s in streams] == expected
+            with pytest.raises(TruncationError) as again:
+                twin.inverse_transform(cut)
+            assert str(again.value) == str(raised.value)
+
+    def test_threads_sharing_a_coder_get_the_serial_results(self):
+        text = zipf_text("estimator-threads", 256, 40_000)
+        shared = MultiChannelHuffmanCoder(channels=(2, 3), method="suboptimal").fit(text)
+        streams = chunked(shared, text, 100)
+        serial = MultiChannelHuffmanCoder(channels=(2, 3), method="suboptimal").fit(text)
+        expected = [serial.inverse_transform(s) for s in streams]
+        results: dict[int, list] = {}
+        start = threading.Barrier(4, timeout=60)
+
+        def work(t: int) -> None:
+            start.wait()
+            results[t] = [shared.inverse_transform(s) for s in streams[t::4]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, also while a table is being made
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(results[t] == expected[t::4] for t in range(4))
+        # no update of the table budget was lost: it is the digits read less the entries made
+        reader = shared._reader
+        made = sum(len(table[0]) for table in reader.tables if table is not None)
+        assert reader.budget == sum(len(s) for chunk in streams for s in chunk) - made
+
+    def test_errors_name_the_callers_streams(self):
+        coder = MultiChannelHuffmanCoder(channels=(3, 2)).fit("abracadabra alakazam")
+        ternary, binary = coder.transform("abracadabra alakazam")
+        cases = [
+            ((ternary[:-1], binary), TruncationError, "stream 0 exhausted inside codeword 19"),
+            ((ternary, "2" + binary), CorruptionError, "stream 1: digit 2 out of range for alphabet size 2"),
+        ]
+        for streams, error, message in cases:
+            with pytest.raises(error) as raised:
+                coder.inverse_transform(streams)
+            assert str(raised.value) == message
+        # codec.decode reads the canonical order, binary first, and names its streams so
+        with pytest.raises(TruncationError, match="^stream 1 exhausted inside codeword 19$"):
+            decode(coder.tree_, (binary, ternary[:-1]))
+
+        single = MultiChannelHuffmanCoder(channels=(3, 2), method="single", channel=1).fit("abracadabra alakazam")
+        with pytest.raises(TrailingDataError) as raised:
+            single.inverse_transform(("1", single.transform("abracadabra alakazam")[1]))
+        assert str(raised.value) == "stream 0 carries digits but the tree never reads channel 0"
+
+        # the ternary channel, canonical channel 0, is the caller's channel 1; its digit 2 is padding
+        padded = MultiChannelHuffmanCoder(channels=(5, 3)).fit("aab")
+        with pytest.raises(CorruptionError) as raised:
+            padded.inverse_transform(("", "012"))
+        assert str(raised.value) == "codeword 2 routed to a padding slot (channel 1, offset 2)"
 
 
 class TestValidation:

@@ -26,6 +26,7 @@ from mchuff import (
     Codebook,
     CodecError,
     Distribution,
+    MultiChannelHuffmanCoder,
     build_single_huffman,
     codebook_from_tree,
     construct,
@@ -43,21 +44,29 @@ from mchuff import (
 from mchuff import digits
 from mchuff.cli import _codebook_json
 from mchuff.cli import main as cli_main
+from mchuff.codec import _Reader
 from mchuff.huffman import code_length_nats, huffman_lengths, huffman_merged_total
 from mchuff.search import merge_options
 from mchuff.tree import tree_to_json
 
 from helpers import (
+    DAMAGES,
+    DECODE_CHANNELS,
     GOLDEN_SEARCH_CHANNELS,
     ORACLE_CHANNELS,
+    damaged_code,
+    damaged_streams,
     dummy_length_tuples,
     eager_codebook_check,
     fraction_from_masses,
     heap_merged_total,
+    make_rng,
     memo_optimal_search,
+    outcome,
     pattern_parse,
     random_shape_tree,
     random_tree,
+    walking_decode,
     walking_encode,
 )
 
@@ -420,6 +429,54 @@ def test_decode_raises_only_codec_errors(dist, profile, rng, data):
     except CodecError:
         return
     assert all(0 <= s < dist.m for s in symbols)
+
+
+# a kept reader is made for its tree's number of streams, so none goes missing
+KEPT_DAMAGES = tuple(how for how in DAMAGES if how != "missing")
+
+
+@pytest.mark.parametrize("sizes", DECODE_CHANNELS)
+@settings(PROPERTY_SETTINGS, max_examples=3)
+@given(st.integers(0, 2**32))
+def test_kept_reader_is_the_walking_decoder(sizes, seed):
+    """Many reads through one reader: damaged streams with and without count, each followed by a clean read.
+
+    Every read must give what a fresh walk gives: the symbols, or the
+    exception's type and message. From the reader's second read on, reads
+    without count go through the root window, so the clean reads, made
+    without count, also check the runs it records.
+    """
+    rng = make_rng(f"kept-reader:{seed}")  # thousands of draws: too many for hypothesis to make
+    _, root, words = damaged_code(rng, sizes)
+    reader = _Reader(root, len(sizes))
+
+    def kept(root, streams, count):
+        return reader.read(streams, count)
+
+    for _ in range(10):
+        streams, count = damaged_streams(rng, root, sizes, words, KEPT_DAMAGES)
+        assert outcome(kept, root, streams, count) == outcome(walking_decode, root, streams, count)
+        clean, _ = damaged_streams(rng, root, sizes, words, ("none",))
+        assert outcome(kept, root, clean, None) == outcome(walking_decode, root, clean, None)
+
+
+def test_kept_reader_on_a_three_channel_zipf_code():
+    """A (2,3,5) suboptimal code on Zipf text: 500-symbol chunks through one coder, each as ``decode`` reads it.
+
+    Its codewords read a third channel right after digits inside the root
+    window, so a window run that held such a codeword would misplace the
+    next one and raise on a clean chunk.
+    """
+    rng = make_rng("kept-reader-zipf")
+    text = rng.choices(range(64), weights=[1 / j**1.1 for j in range(1, 65)], k=50_000)
+    coder = MultiChannelHuffmanCoder((2, 3, 5), method="suboptimal").fit(text)
+    canonical = coder.profile_.user_order
+    for start in range(0, len(text), 500):
+        chunk = text[start:start + 500]
+        streams = coder.transform(chunk)
+        assert coder.inverse_transform(streams) == chunk
+        indices = decode(coder.tree_, [streams[u] for u in canonical])
+        assert [coder.classes_[j] for j in indices] == chunk
 
 
 # three channels, and a q > 36 channel that some words leave empty
