@@ -31,7 +31,12 @@ class MultiChannelHuffmanCoder:
         Alphabet size per channel, e.g. ``(2, 3)`` for one binary and one
         ternary stream.
     method, metric, channel:
-        Passed to ``construct``, which documents them.
+        Passed to ``construct``, which documents them. The default,
+        ``method="optimal"``, searches every admissible merge sequence, so
+        its time grows exponentially with the number of distinct symbols: a
+        fit on channels ``(3, 2, 5)`` with 40 distinct symbols ran for over
+        90 s. For large alphabets use ``method="suboptimal"``, which is
+        never worse than any single-channel Huffman code.
 
     Attributes set by fit: ``classes_`` (symbols, least frequent first),
     ``distribution_``, ``profile_``, ``tree_``, ``codebook_``,

@@ -11,10 +11,15 @@ never longer than any single-channel Huffman code, because every such
 code's merge pattern is dominated by one of the candidate sequences from
 the very first round.
 
-``pruned_search`` scores every prefix for its trace, so it caps their
-number at ``MAX_PREFIXES``. ``suboptimal_build`` and ``construct``'s
-``"prune"`` reach the same winner by ``search._sweep``, which extends
-only live prefixes, one per remaining multiset, with no trace and no cap.
+Each metric comes in two parts, a ``(term, step)`` pair from
+``_scorer``: the term is what the merge and the multiset it leaves decide,
+and the step finishes a child's value from its parent's value, the term
+and the length. ``pruned_search`` scores every prefix for its trace, so it
+caps their number at ``MAX_PREFIXES``; prefixes leaving the same multiset
+share its children and their terms, computed once per count.
+``suboptimal_build`` and ``construct``'s ``"prune"`` reach the same winner
+by ``search._sweep``, which extends only live prefixes, one per remaining
+multiset, with no trace and no cap.
 """
 
 from __future__ import annotations
@@ -50,31 +55,40 @@ MAX_PREFIXES = 10**6
 
 
 def _scorer(metric: str, profile: ChannelProfile, scale: int):
-    """The metric as a step: a merge's child value from its parent's value and the merge.
+    """The metric in two parts: a ``(term, step)`` pair of functions.
 
-    The step is ``score(parent value, merged weights, remaining weights,
-    added length, length)``; weights are integers over ``scale``, the root's
-    value is 0.0, and lower is better for every metric.
+    ``term(merged weights, remaining weights, added length)`` is the part of
+    a child's value that the merge and the multiset it leaves decide, so
+    prefixes leaving the same parent multiset share it; ``step(parent value,
+    term, length)`` finishes the child's value. Weights are integers over
+    ``scale``, the root's value is 0.0, and lower is better for every metric.
     """
     if metric == "redundancy":
         # r = s*(ln q - h) with s*h = s*ln s - sum(w*ln w) over the merged children;
         # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
-        return lambda value, picked, weights, added, length: value + (
-            added - (s * math.log(s) if (s := sum(picked) / scale) else 0.0)
-            + ordered_sum(f * math.log(f) for w in picked if (f := w / scale))
+        return (
+            lambda picked, rest, added: (
+                added - (s * math.log(s) if (s := sum(picked) / scale) else 0.0)
+                + ordered_sum(f * math.log(f) for w in picked if (f := w / scale))
+            ),
+            lambda value, term, length: value + term,
         )
     if metric == "expected_length":
-        return lambda value, picked, weights, added, length: length
-    if metric == "entropy":
-        return lambda value, picked, weights, added, length: entropy([c / scale for c in weights])
-    if metric == "expected_plus_entropy":
-        return lambda value, picked, weights, added, length: length + entropy(
-            [c / scale for c in weights]
-        )
+        return lambda picked, rest, added: None, lambda value, term, length: length
+    if metric in ("entropy", "expected_plus_entropy"):
+        def rest_entropy(picked, rest, added):
+            return entropy([c / scale for c in rest])
+
+        if metric == "entropy":
+            return rest_entropy, lambda value, term, length: term
+        return rest_entropy, lambda value, term, length: length + term
     if metric == "huffman_completion":
         costs = [(q, math.log(q)) for q in set(profile.sizes)]
-        return lambda value, picked, weights, added, length: length + min(
-            huffman_merged_total(weights, q) / scale * ln_q for q, ln_q in costs
+        return (
+            lambda picked, rest, added: min(
+                huffman_merged_total(rest, q) / scale * ln_q for q, ln_q in costs
+            ),
+            lambda value, term, length: length + term,
         )
     raise ValueError(f"unknown metric {metric!r}; choose one of {METRICS}")
 
@@ -141,12 +155,15 @@ def pruned_search(
     leaving c masses are compared and those more than NATS_EPS above their
     minimum are pruned (ties are all retained); then every prefix at c,
     pruned or not, is extended by the merges ``merge_options`` lists for c,
-    so the trace also scores what discarded alternatives would have. Final
+    so the trace also scores what discarded alternatives would have. The
+    first prefix at c leaving a multiset makes its children and their
+    metric terms, the others leaving it reuse them, and each prefix only
+    adds its length and takes the metric's step per child. Final
     survivors are settled by realized expected length, then lexicographic
     sequence order. Sources with more than ``MAX_PREFIXES`` merge-sequence
     prefixes are refused with ``ValueError`` before the sweep.
     """
-    score = _scorer(metric, profile, dist.scale)
+    term, step = _scorer(metric, profile, dist.scale)
     if dist.m < 2:
         raise ValueError("pruned search needs at least two masses")
     m, scale = dist.m, dist.scale
@@ -167,6 +184,9 @@ def pruned_search(
         here, at[c] = at[c], None
         scored += len(here)
         floor = min((value for _, _, value, died, _ in here if died is None), default=math.inf)
+        # children[weights]: (k, remaining weights, added length, metric term) per merge, made by
+        # the first prefix at c leaving ``weights`` and shared by the others
+        children = {}
         for weights, length, value, died, link in here:
             if died is None and value > floor + NATS_EPS:
                 died = c
@@ -176,20 +196,28 @@ def pruned_search(
                     k, _, row = row
                     seq.append(k)
                 rows.append((tuple(reversed(seq)), link, died, length))
-            for k, ln_q in later[c]:
-                picked = weights[:k]
-                merged = sum(picked)
-                added = merged / scale * ln_q
-                rest = list(weights)
-                merge_smallest(rest, k, merged)
-                rest, total = tuple(rest), length + added
-                v = score(value, picked, rest, added, total)
+                continue
+            merges = children.get(weights)
+            if merges is None:
+                merges = children[weights] = []
+                for k, ln_q in later[c]:
+                    picked = weights[:k]
+                    merged = sum(picked)
+                    added = merged / scale * ln_q
+                    rest = list(weights)
+                    merge_smallest(rest, k, merged)
+                    rest = tuple(rest)
+                    merges.append((k, rest, added, term(picked, rest, added)))
+            for k, rest, added, t in merges:
+                total = length + added
+                v = step(value, t, total)
                 at[c - k + 1].append((rest, total, v, died, (k, v, link)))
 
     pruned_at = {}
     values = {}
     kept = []
-    for seq, link, died, length in sorted(rows):  # sequences are distinct: links are never compared
+    rows.sort()  # sequences are distinct: links are never compared
+    for seq, link, died, length in rows:
         pruned_at[seq] = died
         count = 1
         while link is not None:

@@ -141,7 +141,7 @@ def _unlink(links: list[tuple[int, float, int]], link: int) -> tuple[tuple[int, 
     return tuple(seq), length
 
 
-def _sweep(dist: Distribution, profile: ChannelProfile, score=None) -> SearchResult:
+def _sweep(dist: Distribution, profile: ChannelProfile, scorer=None) -> SearchResult:
     """The shortest merge sequence, by one sweep over falling counts of distinct multisets.
 
     Count c = m, ..., 2 maps each remaining multiset of integer weights to
@@ -150,15 +150,16 @@ def _sweep(dist: Distribution, profile: ChannelProfile, score=None) -> SearchRes
     same multiset have the same completions, and every metric of
     ``heuristics.METRICS`` values them apart by their length difference or
     not at all, so a multiset keeps its shortest prefix, or within NATS_EPS
-    the lexicographically smaller. Without ``score`` every entry is
+    the lexicographically smaller. Without ``scorer`` every entry is
     extended, and the length is summed last merge first, as a recursion
-    over completions adds it. With it, a child's value is ``score(parent
-    value, merged weights, remaining weights, added length, length)``,
+    over completions adds it. With it, a ``(term, step)`` pair from
+    ``heuristics._scorer``, a child's value is ``step(parent value,
+    term(merged weights, remaining weights, added length), length)``,
     computed when the sweep reaches the child's count, so a child that a
     shorter prefix replaces is never scored; only entries within NATS_EPS
     of their count's minimum are extended, as ``heuristics.pruned_search``
-    prunes. ``subproblem_count`` is the number
-    of multisets kept below the root.
+    prunes. ``subproblem_count`` is the number of multisets kept below the
+    root.
     """
     m, scale = dist.m, dist.scale
     first, later = merge_options(m, profile)
@@ -167,12 +168,13 @@ def _sweep(dist: Distribution, profile: ChannelProfile, score=None) -> SearchRes
     at: list[dict] = [{} for _ in range(m)] + [{dist.weights: (0.0, 0.0, 0)}]
     for c in range(m, 1, -1):
         here = at[c]
-        if score and c < m:
+        if scorer and c < m:
+            term, step = scorer
             # until now an entry held (parent value, merged weights) in place of its value
             for key, (length, (value, picked), link) in here.items():
-                here[key] = (length, score(value, picked, key, links[link][1], length), link)
+                here[key] = (length, step(value, term(picked, key, links[link][1]), length), link)
         # with a scorer, only entries within NATS_EPS of the count's best value are extended
-        limit = min((value for _, value, _ in here.values()), default=0.0) + NATS_EPS if score else math.inf
+        limit = min((value for _, value, _ in here.values()), default=0.0) + NATS_EPS if scorer else math.inf
         for weights, (length, value, link) in here.items():
             if value > limit:
                 continue
@@ -192,12 +194,12 @@ def _sweep(dist: Distribution, profile: ChannelProfile, score=None) -> SearchRes
                     and _unlink(links, link)[0] + (k,) >= _unlink(links, kept[2])[0]
                 ):
                     continue
-                slot[key] = (total, (value, picked) if score else 0.0, len(links))
+                slot[key] = (total, (value, picked) if scorer else 0.0, len(links))
                 links.append((k, added, link))
     length, _, link = at[1][(scale,)]
     seq, resummed = _unlink(links, link)
     root, steps = replay_sequence(dist, profile, seq)
-    return SearchResult(root, steps, length if score else resummed, sum(map(len, at[2:m])))
+    return SearchResult(root, steps, length if scorer else resummed, sum(map(len, at[2:m])))
 
 
 def optimal_search(dist: Distribution, profile: ChannelProfile) -> SearchResult:

@@ -14,8 +14,9 @@ from mchuff import (
     suboptimal_build,
 )
 from mchuff import heuristics
-from mchuff.search import merge_options
+from mchuff.search import merge_options, merge_prefixes, merge_smallest
 
+import helpers
 from helpers import (
     GEOMETRIC_1200,
     ORACLE_CHANNELS,
@@ -36,6 +37,17 @@ from expected_tables import (
 
 PROFILE = ChannelProfile.from_sizes(BENCHMARK_CHANNELS)
 BENCHMARK = Distribution.from_masses(BENCHMARK_MASSES)
+
+
+def uniform(m):
+    """m equal masses."""
+    return Distribution.from_masses([Fraction(1, m)] * m)
+
+
+def two_valued(m):
+    """m masses, the first m // 2 of weight 1 and the rest of weight 2."""
+    weights = [1] * (m // 2) + [2] * (m - m // 2)
+    return Distribution.from_masses([Fraction(w, sum(weights)) for w in weights])
 
 
 def first_merge_value(metric, sequence, count):
@@ -177,6 +189,47 @@ class TestAgainstEnumeratingOracle:
         for metric in METRICS:
             self.assert_same(dist, ChannelProfile.from_sizes((2,)), metric)
 
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 3, 5), (3, 4)])
+    def test_tie_saturated_sources(self, sizes):
+        # many prefixes leave each multiset here, so their shared children are reused most
+        profile = ChannelProfile.from_sizes(sizes)
+        for m in range(10, 14):
+            for dist in (uniform(m), two_valued(m)):
+                for metric in METRICS:
+                    self.assert_same(dist, profile, metric)
+
+    def test_oracle_scores_apart(self):
+        # the oracle scores with its own code, so a fault in the package's term/step split shows
+        assert heuristics._scorer not in vars(helpers).values()
+        for oracle in (helpers.enumerating_pruned_search, helpers.reference_scorer):
+            assert "_scorer" not in oracle.__code__.co_names
+
+
+class TestSharedChildren:
+    """``pruned_search`` merges and scores once per (count, parent multiset, merge), not per prefix."""
+
+    @staticmethod
+    def distinct_merges(dist, profile) -> int:
+        """How many distinct (count, parent multiset, merge) the merge-sequence prefixes make."""
+        left = {(): dist.weights}
+        merges = set()
+        for prefix, _ in merge_prefixes(dist.m, profile):
+            parent, k = left[prefix[:-1]], prefix[-1]
+            rest = list(parent)
+            merge_smallest(rest, k, sum(parent[:k]))
+            left[prefix] = tuple(rest)
+            merges.add((len(parent), parent, k))
+        return len(merges)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("dist", [uniform(12), two_valued(12)], ids=["uniform", "two-valued"])
+    def test_terms_once_per_parent_multiset(self, monkeypatch, dist, metric):
+        (result, _), terms, steps = TestScoredOnce.scored(
+            monkeypatch, lambda: pruned_search(dist, PROFILE, metric)
+        )
+        assert terms == self.distinct_merges(dist, PROFILE) < steps == result.subproblem_count
+        TestAgainstEnumeratingOracle.assert_same(dist, PROFILE, metric)
+
 
 class TestPrefixCap:
     def test_count_matches_the_walk(self):
@@ -255,26 +308,30 @@ class TestScoredOnce:
 
     @staticmethod
     def scored(monkeypatch, build) -> tuple:
-        """``build()``'s result and how often the metric steps it made were called."""
-        calls = []
-        make_step = heuristics._scorer
+        """``build()``'s result and how often the metric's terms and steps it made were called."""
+        terms, steps = [], []
+        make_scorer = heuristics._scorer
 
         def counting_scorer(*args):
-            step = make_step(*args)
+            term, step = make_scorer(*args)
 
-            def score(*step_args):
-                calls.append(step_args)
+            def counted_term(*term_args):
+                terms.append(term_args)
+                return term(*term_args)
+
+            def counted_step(*step_args):
+                steps.append(step_args)
                 return step(*step_args)
 
-            return score
+            return counted_term, counted_step
 
         monkeypatch.setattr(heuristics, "_scorer", counting_scorer)
-        return build(), len(calls)
+        return build(), len(terms), len(steps)
 
     def test_geometric_source_on_two_channels(self, monkeypatch):
         dist = Distribution.from_masses(GEOMETRIC_1200)
-        result, calls = self.scored(monkeypatch, lambda: suboptimal_build(dist, PROFILE))
-        assert calls == result.subproblem_count == 1198
+        result, terms, steps = self.scored(monkeypatch, lambda: suboptimal_build(dist, PROFILE))
+        assert terms == steps == result.subproblem_count == 1198
 
     def test_random_sources(self, monkeypatch):
         rng = make_rng("scored-once")
@@ -282,23 +339,40 @@ class TestScoredOnce:
             profile = ChannelProfile.from_sizes(ORACLE_CHANNELS[trial % len(ORACLE_CHANNELS)])
             dist = random_distribution(rng, rng.randint(2, 12))
             metric = METRICS[trial % len(METRICS)]
-            result, calls = self.scored(
+            result, terms, steps = self.scored(
                 monkeypatch, lambda: construct(dist, profile, "prune", metric=metric)
             )
-            assert calls == result.subproblem_count, (profile.sizes, dist.masses, metric)
+            assert terms == steps == result.subproblem_count, (profile.sizes, dist.masses, metric)
 
 
 class TestConstruct:
+    @staticmethod
+    def assert_prune_matches(dist, profile):
+        """``construct``'s ``"prune"`` and ``pruned_search`` agree to the bit under every metric."""
+        for metric in METRICS:
+            # subproblem_count differs: the sweep counts multisets, pruned_search prefixes
+            got = construct(dist, profile, "prune", metric=metric)
+            want = pruned_search(dist, profile, metric)[0]
+            case = (profile.user_sizes, dist.masses, metric)
+            assert got.sequence == want.sequence, case
+            assert got.steps == want.steps, case
+            assert got.expected_length.hex() == want.expected_length.hex(), case
+
     def test_dispatches_each_method(self):
         assert construct(BENCHMARK, PROFILE, "optimal") == optimal_search(BENCHMARK, PROFILE)
         assert construct(BENCHMARK, PROFILE, "suboptimal") == suboptimal_build(BENCHMARK, PROFILE)
-        for metric in METRICS:
-            # subproblem_count differs: the sweep counts multisets, pruned_search prefixes
-            got = construct(BENCHMARK, PROFILE, "prune", metric=metric)
-            want = pruned_search(BENCHMARK, PROFILE, metric)[0]
-            assert got.sequence == want.sequence
-            assert got.steps == want.steps
-            assert got.expected_length.hex() == want.expected_length.hex()
+        self.assert_prune_matches(BENCHMARK, PROFILE)
+
+    def test_prune_matches_pruned_search(self):
+        rng = make_rng("prune-vs-pruned")
+        # 36 = 9 channel lists x 2 mass kinds, twice; weights 1..3 (ties) or 1..10^6
+        for trial in range(36):
+            profile = ChannelProfile.from_sizes(ORACLE_CHANNELS[trial % len(ORACLE_CHANNELS)])
+            top = 3 if trial // len(ORACLE_CHANNELS) % 2 else 10**6
+            weights = [rng.randint(1, top) for _ in range(rng.randint(2, 12))]
+            self.assert_prune_matches(
+                Distribution.from_masses([Fraction(w, sum(weights)) for w in weights]), profile
+            )
 
     def test_single_reads_channel_in_caller_order(self):
         profile = ChannelProfile.from_sizes((3, 2))
