@@ -25,8 +25,12 @@ multiset, with no trace and no cap.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
+from operator import itemgetter
+from types import MappingProxyType
 
 from .core import ChannelProfile, Distribution, NATS_EPS, entropy, ordered_sum
 from .huffman import huffman_merge_sequence, huffman_merged_total
@@ -49,8 +53,9 @@ METRICS = (
     "huffman_completion",
 )
 
-#: Most merge-sequence prefixes ``pruned_search`` scores. A prefix's record and trace cells
-#: take about 1.1 kB (tracemalloc peak, channels (2, 3), m=24), so the cap is about 1.1 GB.
+#: Most merge-sequence prefixes ``pruned_search`` scores. A prefix's record and trace cell
+#: take about 0.34 kB (tracemalloc peak, channels (2, 3), m=24), so the cap is about 340 MB;
+#: reading ``TraceTable.values`` raises that to about 1.0 kB.
 MAX_PREFIXES = 10**6
 
 
@@ -107,41 +112,66 @@ def prefix_count(first, later) -> int:
 class TraceTable:
     """Column-by-column record of a pruned search, one row per merge sequence.
 
-    ``values[(seq, count)]`` holds the metric after the prefix of ``seq``
-    that left ``count`` masses. Rows are filled past their pruning point
-    too, so the table shows what discarded alternatives would have scored;
-    ``cell`` flags those entries. Sequences skipping a count simply have no
-    cell there.
+    ``rows[i]`` holds the metric after each prefix of ``sequences[i]``, in
+    sequence order; the prefix ending with merge k leaves k - 1 masses
+    fewer than the one before it, and the whole sequence leaves one. Rows
+    are filled past their pruning point too, so the table shows what
+    discarded alternatives would have scored; ``cell`` flags those entries.
+    Sequences skipping a count simply have no cell there. ``values`` is the
+    same table keyed by ``(seq, count)``, built on first read.
     """
 
     metric: str
     sequences: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
-    values: dict[tuple[tuple[int, ...], int], float]
+    rows: tuple[tuple[float, ...], ...]
     pruned_at: dict[tuple[int, ...], int | None]
     survivors: tuple[tuple[int, ...], ...]
     winner: tuple[int, ...]
 
+    @staticmethod
+    def _cells(seq, row):
+        """(count left, value) per prefix of ``seq``, the whole sequence first."""
+        count = 1
+        for k, value in zip(reversed(seq), reversed(row)):
+            yield count, value
+            count += k - 1
+
+    @cached_property
+    def values(self) -> Mapping[tuple[tuple[int, ...], int], float]:
+        """Read-only ``{(seq, count): value}``, by row, then by rising count."""
+        return MappingProxyType({
+            (seq, count): value
+            for seq, row in zip(self.sequences, self.rows)
+            for count, value in self._cells(seq, row)
+        })
+
+    @cached_property
+    def _row_of(self) -> dict[tuple[int, ...], int]:
+        return {seq: i for i, seq in enumerate(self.sequences)}
+
     def cell(self, sequence, count: int) -> tuple[float, bool] | None:
         """(value, pruned flag) for a populated cell, else None."""
         seq = tuple(sequence)
-        v = self.values.get((seq, count))
-        if v is None:
+        i = self._row_of.get(seq)
+        if i is None:
             return None
-        col = self.pruned_at.get(seq)
-        return v, col is not None and count <= col
+        for c, value in self._cells(seq, self.rows[i]):
+            if c == count:
+                col = self.pruned_at[seq]
+                return value, col is not None and count <= col
+        return None
 
     def to_tsv(self) -> str:
+        column = {c: i for i, c in enumerate(self.counts)}
         lines = ["merge sequence\t" + "\t".join(str(c) for c in self.counts)]
-        for seq in self.sequences:
-            cells = []
-            for c in self.counts:
-                got = self.cell(seq, c)
-                if got is None:
-                    cells.append("")
-                else:
-                    v, pruned = got
-                    cells.append(f"{v:.10f}" + ("*" if pruned else ""))
+        for seq, row in zip(self.sequences, self.rows):
+            col = self.pruned_at[seq]
+            cells = [""] * len(self.counts)
+            for count, value in self._cells(seq, row):
+                if count in column:
+                    pruned = col is not None and count <= col
+                    cells[column[count]] = f"{value:.10f}" + ("*" if pruned else "")
             lines.append("(" + ",".join(str(k) for k in seq) + ")\t" + "\t".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -158,9 +188,11 @@ def pruned_search(
     so the trace also scores what discarded alternatives would have. The
     first prefix at c leaving a multiset makes its children and their
     metric terms, the others leaving it reuse them, and each prefix only
-    adds its length and takes the metric's step per child. Final
-    survivors are settled by realized expected length, then lexicographic
-    sequence order. Sources with more than ``MAX_PREFIXES`` merge-sequence
+    adds its length and takes the metric's step per child. Each prefix
+    links to its parent's, and at count 1 one walk of a complete
+    sequence's links spells the sequence and collects its trace row, the
+    value after each prefix. Final survivors are settled by realized
+    expected length, then lexicographic sequence order. Sources with more than ``MAX_PREFIXES`` merge-sequence
     prefixes are refused with ``ValueError`` before the sweep.
     """
     term, step = _scorer(metric, profile, dist.scale)
@@ -191,11 +223,14 @@ def pruned_search(
             if died is None and value > floor + NATS_EPS:
                 died = c
             if c == 1:
-                seq, row = [], link
-                while row is not None:
-                    k, _, row = row
+                seq, row = [], []
+                while link is not None:
+                    k, v, link = link
                     seq.append(k)
-                rows.append((tuple(reversed(seq)), link, died, length))
+                    row.append(v)
+                seq.reverse()
+                row.reverse()
+                rows.append((tuple(seq), tuple(row), died, length))
                 continue
             merges = children.get(weights)
             if merges is None:
@@ -213,18 +248,11 @@ def pruned_search(
                 v = step(value, t, total)
                 at[c - k + 1].append((rest, total, v, died, (k, v, link)))
 
-    pruned_at = {}
-    values = {}
+    rows.sort(key=itemgetter(0))  # sequences are distinct
+    sequences, rows, died, lengths = zip(*rows)
     kept = []
-    rows.sort()  # sequences are distinct: links are never compared
-    for seq, link, died, length in rows:
-        pruned_at[seq] = died
-        count = 1
-        while link is not None:
-            k, value, link = link
-            values[(seq, count)] = value
-            count += k - 1
-        if died is None:
+    for seq, d, length in zip(sequences, died, lengths):
+        if d is None:
             if not kept or length < best - NATS_EPS:
                 winner, best = seq, length
             kept.append(seq)
@@ -233,10 +261,10 @@ def pruned_search(
 
     trace = TraceTable(
         metric=metric,
-        sequences=tuple(pruned_at),
+        sequences=sequences,
         counts=tuple(range(m - 1, 0, -1)),
-        values=values,
-        pruned_at=pruned_at,
+        rows=rows,
+        pruned_at=dict(zip(sequences, died)),
         survivors=tuple(kept),
         winner=winner,
     )

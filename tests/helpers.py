@@ -644,12 +644,13 @@ def enumerating_pruned_search(
                     died[i] = c
 
     pruned_at = {seq: died[i] for i, seq in complete.items()}
-    cellvals: dict[tuple[tuple[int, ...], int], float] = {}
-    for i, seq in complete.items():
-        j = i
+    rows = []
+    for i in complete:
+        row, j = [], i
         while j:
-            cellvals[(seq, len(states[j][0]))] = values[j]
+            row.append(values[j])
             j = parents[j]
+        rows.append(tuple(reversed(row)))
     kept = [i for i in complete if died[i] is None]
     if not kept:
         raise RuntimeError("pruning eliminated every sequence")
@@ -662,7 +663,7 @@ def enumerating_pruned_search(
         metric=metric,
         sequences=tuple(pruned_at),
         counts=tuple(range(dist.m - 1, 0, -1)),
-        values=cellvals,
+        rows=tuple(rows),
         pruned_at=pruned_at,
         survivors=tuple(complete[i] for i in kept),
         winner=complete[winner],

@@ -7,8 +7,10 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import math
+import operator
 import tempfile
 from decimal import Decimal
 from enum import IntEnum
@@ -354,6 +356,37 @@ def test_sweep_reaches_the_pruned_winner(sizes, dist):
             assert got.sequence == want.sequence, metric
             assert got.steps == want.steps, metric
             assert got.expected_length.hex() == want.expected_length.hex(), metric
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(searched_sources, st.sampled_from(ORACLE_CHANNELS))
+def test_trace_rows_read_as_cells(dist, sizes):
+    profile = ChannelProfile.from_sizes(sizes)
+    for metric in METRICS:
+        _, trace = pruned_search(dist, profile, metric)
+        # one row per sequence, one value per merge
+        assert len(trace.rows) == len(trace.sequences)
+        assert all(len(row) == len(seq) for seq, row in zip(trace.sequences, trace.rows))
+        got = {(seq, c): trace.cell(seq, c) for seq in trace.sequences for c in trace.counts}
+        trace.to_tsv()
+        # the readers go to the rows, so the keyed view is not built behind them
+        assert "values" not in vars(trace)
+        # the view: each sequence's cells at the counts its prefixes leave, counted down
+        # from m, listed from count 1 up; values are the row read backwards
+        keys = []
+        for seq in trace.sequences:
+            left = list(itertools.accumulate((k - 1 for k in seq), operator.sub, initial=dist.m))
+            keys += [(seq, c) for c in reversed(left[1:])]
+        assert list(trace.values) == keys
+        assert list(trace.values.values()) == [v for row in trace.rows for v in reversed(row)]
+        with pytest.raises(TypeError):
+            trace.values[keys[0]] = 0.0
+        for (seq, c), cell in got.items():
+            if (seq, c) not in trace.values:
+                assert cell is None, (metric, seq, c)
+                continue
+            died = trace.pruned_at[seq]
+            assert cell == (trace.values[seq, c], died is not None and c <= died), (metric, seq, c)
 
 
 @PROPERTY_SETTINGS
