@@ -70,11 +70,13 @@ def _scorer(metric: str, profile: ChannelProfile, scale: int):
     """
     if metric == "redundancy":
         # r = s*(ln q - h) with s*h = s*ln s - sum(w*ln w) over the merged children;
-        # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
+        # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``. r >= 0, so a
+        # rounding error below zero is clamped and the sum never goes negative
         return (
-            lambda picked, rest, added: (
+            lambda picked, rest, added: max(
+                0.0,
                 added - (s * math.log(s) if (s := sum(picked) / scale) else 0.0)
-                + ordered_sum(f * math.log(f) for w in picked if (f := w / scale))
+                + ordered_sum(f * math.log(f) for w in picked if (f := w / scale)),
             ),
             lambda value, term, length: value + term,
         )

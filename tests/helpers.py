@@ -614,10 +614,10 @@ def enumerating_pruned_search(
         s = merged / scale
         added_length = s * (first_ln_q[k] if len(prefix) == 1 else math.log(k))
         # r = s*(ln q - h) with s*h = s*ln s - sum(c*ln c) over the merged children;
-        # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``
-        added_red = added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
+        # a mass whose float rounds to 0.0 adds x ln x = 0, as in ``entropy``; r >= 0
+        added_red = max(0.0, added_length - (s * math.log(s) if s else 0.0) + ordered_sum(
             f * math.log(f) for c in picked if (f := c / scale)
-        )
+        ))
         rest = list(weights)
         merge_smallest(rest, k, merged)
         i = len(states)

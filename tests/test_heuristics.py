@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,15 @@ class TestPrunedSearchProperties:
             metric = METRICS[trial % len(METRICS)]
             pruned = pruned_search(dist, profile, metric)[0].expected_length
             assert best <= pruned + 1e-9
+
+    def test_redundancy_never_below_zero(self):
+        # merging 1/13 with 1/13 on a binary channel achieves the entropy, so its local
+        # redundancy is exactly 0, which the float sum used to miss by -5.55e-17
+        dist = Distribution.from_masses(["1/13", "1/13", "2/13", "2/13", "3/13", "4/13"])
+        _, trace = pruned_search(dist, ChannelProfile.from_sizes((2, 2, 3)), "redundancy")
+        assert [trace.cell((2, 2, 2, 2, 2), c)[0] for c in (5, 4)] == [0.0, 0.0]
+        assert all(math.copysign(1.0, v) == 1.0 for v in trace.values.values())
+        assert "-0.0000000000" not in trace.to_tsv()
 
     @pytest.mark.parametrize("metric", ["redundancy", "expected_length"])
     def test_masses_below_float_range(self, metric):

@@ -387,6 +387,8 @@ def test_trace_rows_read_as_cells(dist, sizes):
                 continue
             died = trace.pruned_at[seq]
             assert cell == (trace.values[seq, c], died is not None and c <= died), (metric, seq, c)
+        if metric == "redundancy":  # a sum of nonnegative local redundancies, not even -0.0
+            assert all(math.copysign(1.0, v) == 1.0 for row in trace.rows for v in row)
 
 
 @PROPERTY_SETTINGS
