@@ -25,7 +25,6 @@ multiset, with no trace and no cap.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
@@ -140,7 +139,7 @@ class TraceTable:
             count += k - 1
 
     @cached_property
-    def values(self) -> Mapping[tuple[tuple[int, ...], int], float]:
+    def values(self) -> MappingProxyType[tuple[tuple[int, ...], int], float]:
         """Read-only ``{(seq, count): value}``, by row, then by rising count."""
         return MappingProxyType({
             (seq, count): value
@@ -171,9 +170,8 @@ class TraceTable:
             col = self.pruned_at[seq]
             cells = [""] * len(self.counts)
             for count, value in self._cells(seq, row):
-                if count in column:
-                    pruned = col is not None and count <= col
-                    cells[column[count]] = f"{value:.10f}" + ("*" if pruned else "")
+                pruned = col is not None and count <= col
+                cells[column[count]] = f"{value:.10f}" + ("*" if pruned else "")
             lines.append("(" + ",".join(str(k) for k in seq) + ")\t" + "\t".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -194,8 +192,9 @@ def pruned_search(
     links to its parent's, and at count 1 one walk of a complete
     sequence's links spells the sequence and collects its trace row, the
     value after each prefix. Final survivors are settled by realized
-    expected length, then lexicographic sequence order. Sources with more than ``MAX_PREFIXES`` merge-sequence
-    prefixes are refused with ``ValueError`` before the sweep.
+    expected length, then lexicographic sequence order. Sources with more
+    than ``MAX_PREFIXES`` merge-sequence prefixes are refused with
+    ``ValueError`` before the sweep.
     """
     term, step = _scorer(metric, profile, dist.scale)
     if dist.m < 2:
@@ -253,8 +252,8 @@ def pruned_search(
     rows.sort(key=itemgetter(0))  # sequences are distinct
     sequences, rows, died, lengths = zip(*rows)
     kept = []
-    for seq, d, length in zip(sequences, died, lengths):
-        if d is None:
+    for seq, col, length in zip(sequences, died, lengths):
+        if col is None:
             if not kept or length < best - NATS_EPS:
                 winner, best = seq, length
             kept.append(seq)

@@ -145,8 +145,8 @@ class TestPrunedSearchProperties:
             assert best <= pruned + 1e-9
 
     def test_redundancy_never_below_zero(self):
-        # merging 1/13 with 1/13 on a binary channel achieves the entropy, so its local
-        # redundancy is exactly 0, which the float sum used to miss by -5.55e-17
+        # merging 1/13 with 1/13 on a binary channel achieves the entropy: its local
+        # redundancy is exactly 0, and its float, -5.55e-17, must not reach the trace
         dist = Distribution.from_masses(["1/13", "1/13", "2/13", "2/13", "3/13", "4/13"])
         _, trace = pruned_search(dist, ChannelProfile.from_sizes((2, 2, 3)), "redundancy")
         assert [trace.cell((2, 2, 2, 2, 2), c)[0] for c in (5, 4)] == [0.0, 0.0]
