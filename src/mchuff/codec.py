@@ -80,9 +80,10 @@ def _infer_sizes(root: Node, n: int) -> list[int | None]:
     while stack:
         node = stack.pop()
         if isinstance(node, Internal):
-            if node.class_index >= n:
+            if not 0 <= node.class_index < n:
                 raise ValueError(
                     f"tree reads channel {node.class_index} but only {n} streams were given"
+                    if node.class_index >= 0 else f"tree reads negative channel {node.class_index}"
                 )
             q = len(node.children)
             if sizes[node.class_index] not in (None, q):

@@ -25,11 +25,10 @@ multiset, with no trace and no cap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
 from operator import itemgetter
-from types import MappingProxyType
 
 from .core import ChannelProfile, Distribution, NATS_EPS, entropy, ordered_sum
 from .huffman import huffman_merge_sequence, huffman_merged_total
@@ -53,8 +52,7 @@ METRICS = (
 )
 
 #: Most merge-sequence prefixes ``pruned_search`` scores. A prefix's record and trace cell
-#: take about 0.34 kB (tracemalloc peak, channels (2, 3), m=24), so the cap is about 340 MB;
-#: reading ``TraceTable.values`` raises that to about 1.0 kB.
+#: take about 0.34 kB (tracemalloc peak, channels (2, 3), m=24), so the cap is about 340 MB.
 MAX_PREFIXES = 10**6
 
 
@@ -113,64 +111,50 @@ def prefix_count(first, later) -> int:
 class TraceTable:
     """Column-by-column record of a pruned search, one row per merge sequence.
 
-    ``rows[i]`` holds the metric after each prefix of ``sequences[i]``, in
-    sequence order; the prefix ending with merge k leaves k - 1 masses
-    fewer than the one before it, and the whole sequence leaves one. Rows
-    are filled past their pruning point too, so the table shows what
-    discarded alternatives would have scored; ``cell`` flags those entries.
-    Sequences skipping a count simply have no cell there. ``values`` is the
-    same table keyed by ``(seq, count)``, built on first read.
+    ``sequences`` are sorted, and ``rows`` and ``pruned_at`` are aligned with
+    them. ``rows[i]`` holds the metric after each prefix of ``sequences[i]``,
+    in sequence order; the prefix ending with merge k leaves k - 1 masses
+    fewer than the one before it, and the whole sequence leaves one.
+    ``pruned_at[i]`` is the count where ``sequences[i]`` or a prefix of it
+    was pruned, or None for a survivor. Rows are filled past their pruning
+    point too, so the table shows what discarded alternatives would have
+    scored; ``cell`` flags those entries. Sequences skipping a count simply
+    have no cell there.
     """
 
     metric: str
     sequences: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
     rows: tuple[tuple[float, ...], ...]
-    pruned_at: dict[tuple[int, ...], int | None]
+    pruned_at: tuple[int | None, ...]
     survivors: tuple[tuple[int, ...], ...]
     winner: tuple[int, ...]
 
     @staticmethod
-    def _cells(seq, row):
-        """(count left, value) per prefix of ``seq``, the whole sequence first."""
+    def _cells(seq, row, died):
+        """(count left, value, pruned flag) per prefix of ``seq``, the whole sequence first."""
         count = 1
         for k, value in zip(reversed(seq), reversed(row)):
-            yield count, value
+            yield count, value, died is not None and count <= died
             count += k - 1
-
-    @cached_property
-    def values(self) -> MappingProxyType[tuple[tuple[int, ...], int], float]:
-        """Read-only ``{(seq, count): value}``, by row, then by rising count."""
-        return MappingProxyType({
-            (seq, count): value
-            for seq, row in zip(self.sequences, self.rows)
-            for count, value in self._cells(seq, row)
-        })
-
-    @cached_property
-    def _row_of(self) -> dict[tuple[int, ...], int]:
-        return {seq: i for i, seq in enumerate(self.sequences)}
 
     def cell(self, sequence, count: int) -> tuple[float, bool] | None:
         """(value, pruned flag) for a populated cell, else None."""
         seq = tuple(sequence)
-        i = self._row_of.get(seq)
-        if i is None:
+        i = bisect_left(self.sequences, seq)
+        if i == len(self.sequences) or self.sequences[i] != seq:
             return None
-        for c, value in self._cells(seq, self.rows[i]):
+        for c, value, pruned in self._cells(seq, self.rows[i], self.pruned_at[i]):
             if c == count:
-                col = self.pruned_at[seq]
-                return value, col is not None and count <= col
+                return value, pruned
         return None
 
     def to_tsv(self) -> str:
         column = {c: i for i, c in enumerate(self.counts)}
         lines = ["merge sequence\t" + "\t".join(str(c) for c in self.counts)]
-        for seq, row in zip(self.sequences, self.rows):
-            col = self.pruned_at[seq]
+        for seq, row, died in zip(self.sequences, self.rows, self.pruned_at):
             cells = [""] * len(self.counts)
-            for count, value in self._cells(seq, row):
-                pruned = col is not None and count <= col
+            for count, value, pruned in self._cells(seq, row, died):
                 cells[column[count]] = f"{value:.10f}" + ("*" if pruned else "")
             lines.append("(" + ",".join(str(k) for k in seq) + ")\t" + "\t".join(cells))
         return "\n".join(lines) + "\n"
@@ -191,10 +175,11 @@ def pruned_search(
     adds its length and takes the metric's step per child. Each prefix
     links to its parent's, and at count 1 one walk of a complete
     sequence's links spells the sequence and collects its trace row, the
-    value after each prefix. Final survivors are settled by realized
-    expected length, then lexicographic sequence order. Sources with more
-    than ``MAX_PREFIXES`` merge-sequence prefixes are refused with
-    ``ValueError`` before the sweep.
+    value after each prefix. Sorted by sequence, the records unzip into
+    the trace's aligned columns: sequences, rows and pruning counts. Final
+    survivors are settled by realized expected length, then lexicographic
+    sequence order. Sources with more than ``MAX_PREFIXES`` merge-sequence
+    prefixes are refused with ``ValueError`` before the sweep.
     """
     term, step = _scorer(metric, profile, dist.scale)
     if dist.m < 2:
@@ -265,7 +250,7 @@ def pruned_search(
         sequences=sequences,
         counts=tuple(range(m - 1, 0, -1)),
         rows=rows,
-        pruned_at=dict(zip(sequences, died)),
+        pruned_at=died,
         survivors=tuple(kept),
         winner=winner,
     )

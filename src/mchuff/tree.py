@@ -69,6 +69,8 @@ class Codebook:
             tuple(map(digits.parse, word, self.sizes))
         if any(q < 2 for q in self.sizes):
             raise ValueError("every channel alphabet size must be at least 2")
+        if any(type(q) is not int for q in self.sizes):
+            raise ValueError(f"every channel alphabet size must be an integer, got {self.sizes!r}")
 
     @functools.cached_property
     def parsed(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -433,7 +435,7 @@ def tree_from_obj(obj) -> Node:
         if not isinstance(sym, int) or isinstance(sym, bool):
             raise ValueError("leaf symbol must be an integer")
         return Leaf(sym)
-    if obj.get("dummy"):
+    if obj.get("dummy") is True:
         return DummyLeaf()
     if "class" in obj and "children" in obj:
         ci = obj["class"]

@@ -300,9 +300,10 @@ def walking_decode(root, streams, count: int | None = None) -> list[int]:
     while stack:
         node = stack.pop()
         if isinstance(node, Internal):
-            if node.class_index >= len(streams):
+            if not 0 <= node.class_index < len(streams):
                 raise ValueError(
                     f"tree reads channel {node.class_index} but only {len(streams)} streams were given"
+                    if node.class_index >= 0 else f"tree reads negative channel {node.class_index}"
                 )
             q = len(node.children)
             if sizes[node.class_index] not in (None, q):
@@ -643,7 +644,6 @@ def enumerating_pruned_search(
                 if values[i] > floor + NATS_EPS:
                     died[i] = c
 
-    pruned_at = {seq: died[i] for i, seq in complete.items()}
     rows = []
     for i in complete:
         row, j = [], i
@@ -661,10 +661,10 @@ def enumerating_pruned_search(
 
     trace = TraceTable(
         metric=metric,
-        sequences=tuple(pruned_at),
+        sequences=tuple(complete.values()),
         counts=tuple(range(dist.m - 1, 0, -1)),
         rows=tuple(rows),
-        pruned_at=pruned_at,
+        pruned_at=tuple(died[i] for i in complete),
         survivors=tuple(complete[i] for i in kept),
         winner=complete[winner],
     )

@@ -287,6 +287,18 @@ class TestCodecCommands:
         write_json(tmp_path / "bad.json", {"streams": ["2", ""]})
         assert main(["decode", str(tmp_path / "tree.json"), str(tmp_path / "bad.json")]) == 3
 
+    @pytest.mark.parametrize("flag, status", [(True, 0), (1, 2), ("no", 2), ([0], 2)])
+    def test_dummy_flag_is_true_only(self, tmp_path, capsys, flag, status):
+        root = {"class": 1, "children": [{"symbol": 0}, {"symbol": 1}, {"dummy": flag}]}
+        tree = write_json(tmp_path / "tree.json", {"channels": [2, 3], "root": root})
+        write_json(tmp_path / "streams.json", {"streams": ["", "0110"]})
+        assert main(["decode", str(tree), str(tmp_path / "streams.json")]) == status
+        out, err = capsys.readouterr()
+        if status:
+            assert err == f"error: {tree}: unrecognized tree node object with keys ['dummy']\n"
+        else:
+            assert out == "0 1 1 0\n"
+
     def test_decode_from_two_channel_codebook(self, tmp_path):
         out = self.build(tmp_path)
         (tmp_path / "syms.txt").write_text("3 0 2\n")

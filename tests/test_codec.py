@@ -21,6 +21,7 @@ from mchuff import (
     replay_sequence,
 )
 from mchuff import digits
+from mchuff.codec import _Reader
 
 from helpers import (
     PROFILES,
@@ -126,6 +127,15 @@ class TestDecode:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="non-negative"):
             decode(A_TREE, encode(A_BOOK, [0, 2, 3]), count=-1)
+
+    def test_rejects_negative_channel(self):
+        # a negative index would read a stream counted from the end
+        root = Internal(-1, (Leaf(0), Leaf(1)))
+        with pytest.raises(ValueError, match=r"^tree reads negative channel -1$"):
+            decode(root, ("", "01"))
+        with pytest.raises(ValueError, match=r"^tree reads negative channel -1$"):
+            _Reader(root, 2)
+        assert outcome(walking_decode, root, ("", "01"), None) == outcome(decode, root, ("", "01"), None)
 
     def test_rejects_single_leaf_tree(self):
         with pytest.raises(DegenerateCodeError):

@@ -150,7 +150,7 @@ class TestPrunedSearchProperties:
         dist = Distribution.from_masses(["1/13", "1/13", "2/13", "2/13", "3/13", "4/13"])
         _, trace = pruned_search(dist, ChannelProfile.from_sizes((2, 2, 3)), "redundancy")
         assert [trace.cell((2, 2, 2, 2, 2), c)[0] for c in (5, 4)] == [0.0, 0.0]
-        assert all(math.copysign(1.0, v) == 1.0 for v in trace.values.values())
+        assert all(math.copysign(1.0, v) == 1.0 for row in trace.rows for v in row)
         assert "-0.0000000000" not in trace.to_tsv()
 
     @pytest.mark.parametrize("metric", ["redundancy", "expected_length"])
@@ -179,8 +179,9 @@ class TestAgainstEnumeratingOracle:
         assert trace.survivors == want_trace.survivors, case
         assert trace.winner == want_trace.winner, case
         assert trace.pruned_at == want_trace.pruned_at, case
-        assert list(trace.values.items()) == list(want_trace.values.items()), case
-        # the text tells -0.0 from 0.0, which == on the values does not
+        # hex tells -0.0 from 0.0, which == on the values does not
+        hexes = [[v.hex() for v in row] for row in trace.rows]
+        assert hexes == [[v.hex() for v in row] for row in want_trace.rows], case
         assert trace.to_tsv() == want_trace.to_tsv(), case
 
     def test_random_sources(self):

@@ -364,29 +364,24 @@ def test_trace_rows_read_as_cells(dist, sizes):
     profile = ChannelProfile.from_sizes(sizes)
     for metric in METRICS:
         _, trace = pruned_search(dist, profile, metric)
-        # one row per sequence, one value per merge
-        assert len(trace.rows) == len(trace.sequences)
+        # sorted distinct sequences, each with its row of one value per merge and its pruning count
+        assert list(trace.sequences) == sorted(set(trace.sequences))
+        assert len(trace.rows) == len(trace.pruned_at) == len(trace.sequences)
         assert all(len(row) == len(seq) for seq, row in zip(trace.sequences, trace.rows))
-        got = {(seq, c): trace.cell(seq, c) for seq in trace.sequences for c in trace.counts}
-        trace.to_tsv()
-        # the readers go to the rows, so the keyed view is not built behind them
-        assert "values" not in vars(trace)
-        # the view: each sequence's cells at the counts its prefixes leave, counted down
-        # from m, listed from count 1 up; values are the row read backwards
-        keys = []
-        for seq in trace.sequences:
-            left = list(itertools.accumulate((k - 1 for k in seq), operator.sub, initial=dist.m))
-            keys += [(seq, c) for c in reversed(left[1:])]
-        assert list(trace.values) == keys
-        assert list(trace.values.values()) == [v for row in trace.rows for v in reversed(row)]
-        with pytest.raises(TypeError):
-            trace.values[keys[0]] = 0.0
-        for (seq, c), cell in got.items():
-            if (seq, c) not in trace.values:
-                assert cell is None, (metric, seq, c)
-                continue
-            died = trace.pruned_at[seq]
-            assert cell == (trace.values[seq, c], died is not None and c <= died), (metric, seq, c)
+        assert trace.survivors == tuple(
+            seq for seq, died in zip(trace.sequences, trace.pruned_at) if died is None
+        )
+        assert all(died is None or died in trace.counts for died in trace.pruned_at)
+        for seq, row, died in zip(trace.sequences, trace.rows, trace.pruned_at):
+            # the counts its prefixes leave, counted down from m, each with the value after it
+            left = itertools.accumulate((k - 1 for k in seq), operator.sub, initial=dist.m)
+            want = {c: (v, died is not None and c <= died) for c, v in zip(list(left)[1:], row)}
+            for c in trace.counts:
+                assert trace.cell(seq, c) == want.get(c), (metric, seq, c)
+            assert trace.cell(list(seq), 1) == want[1]
+        # a sequence the table lacks, before or after every row, has no cells
+        assert trace.cell((), 1) is None
+        assert trace.cell((dist.m + 1,), 1) is None
         if metric == "redundancy":  # a sum of nonnegative local redundancies, not even -0.0
             assert all(math.copysign(1.0, v) == 1.0 for row in trace.rows for v in row)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,6 +82,18 @@ class TestCodebook:
             Codebook(words=((bad, "1"), ("1", "0"), ("0", "1")), sizes=(q, 2))
         with pytest.raises(TypeError):
             digits.parse(bad, q)
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (2.0, "must be an integer, got (2.0,)"),
+            (2.5, "must be an integer, got (2.5,)"),
+            (1.5, "must be at least 2"),
+        ],
+    )
+    def test_sizes_must_be_ints_from_2(self, q, message):
+        with pytest.raises(ValueError, match=r"^every channel alphabet size " + re.escape(message) + "$"):
+            Codebook(words=(("0",), ("1",)), sizes=(q,))
 
 
 class TestValidateTree:
@@ -384,6 +397,12 @@ class TestSerialization:
             tree_from_obj({"class": 0, "children": []})
         with pytest.raises(ValueError):
             tree_from_obj([1, 2])
+
+    @pytest.mark.parametrize("flag", [1, "no", [0], False, None])
+    def test_dummy_flag_is_true_only(self, flag):
+        assert tree_from_obj({"dummy": True}) == DummyLeaf()
+        with pytest.raises(ValueError, match=r"^unrecognized tree node object with keys \['dummy'\]$"):
+            tree_from_obj({"dummy": flag})
 
 
 def test_tree_json_on_deep_trees():
