@@ -67,10 +67,21 @@ def encode(cb: Codebook, symbols) -> tuple[str, ...]:
         for pos, s in enumerate(idx):
             if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < m:
                 raise ValueError(f"symbols[{pos}]: index {s!r} out of range 0..{m - 1}")
+    return _join(cb.columns, cb.sizes, idx)
+
+
+def _join(columns, sizes, keys: list) -> tuple[str, ...]:
+    """One stream per channel: ``column[key]`` for each key in order, joined as the channel's size wants.
+
+    A q <= 36 channel concatenates its base-36 components; a q > 36 channel
+    joins its nonempty components with commas. A column is a list indexed by
+    symbol index or a dict keyed by fitted symbol; a key it lacks raises as
+    its ``__getitem__`` does, on the first such key.
+    """
     return tuple(
-        "".join(map(column.__getitem__, idx)) if q <= 36
-        else ",".join(filter(None, map(column.__getitem__, idx)))
-        for column, q in zip(cb.columns, cb.sizes)
+        "".join(map(column.__getitem__, keys)) if q <= 36
+        else ",".join(filter(None, map(column.__getitem__, keys)))
+        for column, q in zip(columns, sizes)
     )
 
 
@@ -164,18 +175,25 @@ class _Reader:
     a full-width key is stored. Where a stream has too few digits left for a
     full key, the rest is read a codeword at a time.
 
-    Errors name channel c as ``labels[c]``. Tables are made under a lock, so
-    threads may share a reader; a copy or a pickle is a fresh reader.
+    Errors name channel c as ``labels[c]``. With ``classes``, a leaf for
+    symbol index j reads out as ``classes[j]``: the tables, the window runs
+    and the digit-at-a-time walk all record ``classes[j]``, so a read returns
+    those values with no pass over indices; without it, a read returns the
+    indices. Tables are made under a lock, so threads may share a reader; a
+    copy or a pickle is a fresh reader for the same tree, labels and classes.
     """
 
-    def __init__(self, root: Internal, n: int, labels: tuple[int, ...] | None = None) -> None:
-        self.root, self.n = root, n
+    def __init__(
+        self, root: Internal, n: int, labels: tuple[int, ...] | None = None, classes: tuple | None = None
+    ) -> None:
+        self.root, self.n, self.classes = root, n, classes
         self.labels = tuple(range(n)) if labels is None else tuple(labels)
         self.sizes = sizes = _infer_sizes(root, n)
         self.alphabets = [_digit_chars(q) if q else "" for q in sizes]
         self.values = [dict(zip(chars, range(len(chars)))) for chars in self.alphabets]
         # a table's exits are ids: 0, 1, ... into nodes (the root is 0) and ~0, ~1, ... into
-        # symbols, given as the table is made; a tree's node is the exit of one table at most
+        # what its leaves read out as (``classes[j]`` or j), given as the table is made; a tree's
+        # node is the exit of one table at most
         self.nodes: list[Internal] = [root]
         self.symbols: list = []
         self.tables: list[tuple[dict, int, int] | None] = [None]
@@ -185,7 +203,7 @@ class _Reader:
         self.window: dict | None = None  # made by the first read, used from the second
 
     def __reduce__(self):
-        return type(self), (self.root, self.n, self.labels)
+        return type(self), (self.root, self.n, self.labels, self.classes)
 
     @functools.cached_property
     def shape(self) -> tuple[int, int, int, int] | None:
@@ -198,7 +216,10 @@ class _Reader:
         return (a, b, ka, kb) if ka else None
 
     def read(self, streams: tuple, count: int | None = None) -> list:
-        """Decode ``streams``, n of them, as ``decode`` does, with errors naming the labels."""
+        """Decode ``streams``, n of them, as ``decode`` does, with errors naming the labels.
+
+        Leaves read out as ``classes`` names them, if the reader has classes.
+        """
         texts = self._texts(streams)
         ends = [len(t) for t in texts]
         with self.lock:
@@ -245,14 +266,14 @@ class _Reader:
         with self.lock:
             if self.tables[i] is not None:
                 return self.tables[i]
-            nodes, symbols, tables = self.nodes, self.symbols, self.tables
+            nodes, symbols, tables, classes = self.nodes, self.symbols, self.tables, self.classes
 
             def exit_id(node: Node) -> int:
                 if isinstance(node, Internal):
                     nodes.append(node)
                     tables.append(None)
                     return len(nodes) - 1
-                symbols.append(node.symbol)
+                symbols.append(node.symbol if classes is None else classes[node.symbol])
                 return ~(len(symbols) - 1)
 
             c = nodes[i].class_index
@@ -320,7 +341,7 @@ class _Reader:
                 raise CorruptionError(
                     f"codeword {len(out)} routed to a padding slot (channel {labels[c]}, offset {p})"
                 )
-            out.append(node.symbol)
+            out.append(node.symbol if self.classes is None else self.classes[node.symbol])
 
     def _read_window(self, texts: list[str], ends: list[int], pos: list[int], out: list) -> None:
         """Read whole runs of codewords through the root window until a key falls short."""

@@ -147,6 +147,9 @@ class ChannelProfile:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("a profile needs at least one channel")
+        for idx, q in enumerate(self.sizes):
+            if not isinstance(q, int) or isinstance(q, bool):
+                raise ValueError(f"sizes[{idx}]: alphabet size must be an integer, got {q!r}")
         if any(q < 2 for q in self.sizes):
             raise ValueError("every channel alphabet size must be at least 2")
         if any(a > b for a, b in zip(self.sizes, self.sizes[1:])):

@@ -12,10 +12,15 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .codec import _Reader, encode
+from .codec import _join, _Reader
 from .core import ChannelProfile, Distribution, entropy
 from .heuristics import construct
 from .tree import codebook_from_tree
+
+
+def _columns_by_symbol(codebook, classes: tuple) -> tuple:
+    """(codebook, classes, one dict per canonical channel from ``classes[j]`` to symbol j's component)."""
+    return codebook, classes, [dict(zip(classes, column)) for column in codebook.columns]
 
 
 class NotFittedError(ValueError):
@@ -83,32 +88,44 @@ class MultiChannelHuffmanCoder:
         self.profile_ = profile
         self.distribution_ = dist
         self.classes_ = tuple(symbols[dist.input_order[j]] for j in range(dist.m))
-        self._index = {sym: j for j, sym in enumerate(self.classes_)}
         self.tree_ = result.tree
-        self._reader = _Reader(result.tree, profile.n, profile.user_order)
+        self._reader = _Reader(result.tree, profile.n, profile.user_order, self.classes_)
         self.codebook_ = codebook_from_tree(result.tree, profile)
+        self._columns = _columns_by_symbol(self.codebook_, self.classes_)
         self.merge_sequence_ = result.sequence
         self.expected_length_ = result.expected_length
         self.entropy_ = entropy(dist)
         return self
 
     def transform(self, X) -> tuple[str, ...]:
-        """Encode symbols into one digit string per channel, in the caller's channel order."""
+        """Encode symbols into one digit string per channel, in the caller's channel order.
+
+        Each fit keeps one dict per channel from fitted symbol to its
+        codeword component, so every stream is joined straight from the
+        symbols. The dicts are remade when ``codebook_`` or ``classes_`` has
+        been replaced, told by identity.
+        """
         self._check_fitted()
         symbols = list(X)
+        book, classes, columns = self._columns
+        if book is not self.codebook_ or classes is not self.classes_:
+            book, classes, columns = self._columns = _columns_by_symbol(self.codebook_, self.classes_)
         try:
-            indices = list(map(self._index.__getitem__, symbols))
+            canonical = _join(columns, book.sizes, symbols)
         except KeyError:
-            pos, sym = next((pos, sym) for pos, sym in enumerate(symbols) if sym not in self._index)
+            seen = columns[0]
+            pos, sym = next((pos, sym) for pos, sym in enumerate(symbols) if sym not in seen)
             raise ValueError(f"symbol {sym!r} at position {pos} was not seen during fit") from None
-        canonical = encode(self.codebook_, indices)
         return tuple(canonical[c] for c in self.profile_.canonical_index)
 
     def inverse_transform(self, streams) -> list:
         """Decode channel streams (caller's channel order) back into symbols.
 
-        One reader is kept per fitted tree, so its lookahead tables and root
-        window serve every later call; errors name the caller's streams.
+        Each fit keeps one reader, so its lookahead tables and root window
+        serve every later call; its leaves read out as the fitted symbols, so
+        its result is returned as it is. It is remade when ``tree_`` or
+        ``classes_`` has been replaced, told by identity. Errors name the
+        caller's streams.
         """
         self._check_fitted()
         streams = tuple(streams)
@@ -116,10 +133,10 @@ class MultiChannelHuffmanCoder:
         if len(streams) != n:
             raise ValueError(f"expected {n} streams, got {len(streams)}")
         reader = self._reader
-        if reader.root is not self.tree_:  # a replaced tree_, told by identity: tree hashing recurses
-            reader = self._reader = _Reader(self.tree_, n, order)
-        symbols = reader.read(tuple(streams[u] for u in order))
-        return list(map(self.classes_.__getitem__, symbols))
+        # told by identity: tree hashing recurses, and a tuple compare is a pass over the classes
+        if reader.root is not self.tree_ or reader.classes is not self.classes_:
+            reader = self._reader = _Reader(self.tree_, n, order, self.classes_)
+        return reader.read(tuple(streams[u] for u in order))
 
     def fit_transform(self, X, y=None) -> tuple[str, ...]:
         return self.fit(X, y).transform(X)

@@ -427,17 +427,23 @@ def tree_to_json(root: Node, channels: Sequence[int], mapping: Sequence[int]) ->
 
 
 def tree_from_obj(obj) -> Node:
-    """Parse the nested-object form back into a tree."""
+    """Parse the nested-object form back into a tree.
+
+    A node object holds exactly the keys of its shape: ``symbol`` for a
+    leaf, ``dummy`` for a padding leaf, ``class`` and ``children`` for an
+    internal node. Any other key set is rejected.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"tree node must be an object, got {type(obj).__name__}")
-    if "symbol" in obj:
+    keys = len(obj)
+    if keys == 1 and "symbol" in obj:
         sym = obj["symbol"]
         if not isinstance(sym, int) or isinstance(sym, bool):
             raise ValueError("leaf symbol must be an integer")
         return Leaf(sym)
-    if obj.get("dummy") is True:
+    if keys == 1 and obj.get("dummy") is True:
         return DummyLeaf()
-    if "class" in obj and "children" in obj:
+    if keys == 2 and "class" in obj and "children" in obj:
         ci = obj["class"]
         if not isinstance(ci, int) or isinstance(ci, bool):
             raise ValueError("node class must be an integer")

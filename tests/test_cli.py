@@ -299,6 +299,19 @@ class TestCodecCommands:
         else:
             assert out == "0 1 1 0\n"
 
+    @pytest.mark.parametrize("node", [
+        {"symbol": 2, "dummy": True},
+        {"class": 0, "children": [{"symbol": 2}, {"dummy": True}], "junk": 1},
+    ])
+    def test_node_with_extra_keys_exits_2(self, tmp_path, capsys, node):
+        root = {"class": 1, "children": [{"symbol": 0}, {"symbol": 1}, node]}
+        tree = write_json(tmp_path / "tree.json", {"channels": [2, 3], "root": root})
+        write_json(tmp_path / "streams.json", {"streams": ["", "0110"]})
+        assert main(["decode", str(tree), str(tmp_path / "streams.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tree}: unrecognized tree node object with keys {sorted(node)}\n"
+
     def test_decode_from_two_channel_codebook(self, tmp_path):
         out = self.build(tmp_path)
         (tmp_path / "syms.txt").write_text("3 0 2\n")

@@ -142,6 +142,11 @@ class TestChannelProfile:
         with pytest.raises(ValueError):
             ChannelProfile.from_sizes([])
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, "3", None])
+    def test_rejects_non_integer_sizes(self, size):
+        with pytest.raises(ValueError, match=r"^sizes\[0\]: alphabet size must be an integer, got "):
+            ChannelProfile((size, 3), (0, 1))
+
 
 class TestEntropy:
     def test_example_values(self):

@@ -12,6 +12,7 @@ from mchuff import (
     TrailingDataError,
     TruncationError,
     decode,
+    encode,
 )
 
 from helpers import make_rng
@@ -117,6 +118,34 @@ class TestKeptReader:
             [coder.classes_[j] for j in decode(other.tree_, c)] for c in canonical
         ]
 
+    def test_replaced_classes_are_read_and_written_anew(self):
+        text = zipf_text("estimator-replaced-classes", 14, 3000)
+        coder = MultiChannelHuffmanCoder(channels=(3, 2, 5), method="suboptimal").fit(text)
+        streams = chunked(coder, text, 300)
+        for s in streams:  # the kept reader reads through its window from the second chunk on
+            coder.inverse_transform(s)
+        permuted = list(coder.classes_)
+        make_rng("estimator-permuted").shuffle(permuted)
+        coder.classes_ = tuple(permuted)
+        index = {sym: j for j, sym in enumerate(permuted)}
+        order = coder.profile_.user_order
+        for start in range(0, len(text), 300):
+            chunk = text[start:start + 300]
+            canonical = encode(coder.codebook_, [index[sym] for sym in chunk])
+            assert coder.transform(chunk) == tuple(canonical[c] for c in coder.profile_.canonical_index)
+        assert [coder.inverse_transform(s) for s in streams] == [
+            [permuted[j] for j in decode(coder.tree_, [s[u] for u in order])] for s in streams
+        ]
+
+    def test_a_replaced_codebook_is_written_anew(self):
+        text = zipf_text("estimator-replaced-codebook", 14, 3000)
+        coder = MultiChannelHuffmanCoder(channels=(2, 3)).fit(text)
+        other = MultiChannelHuffmanCoder(channels=(2, 3), method="single", channel=1).fit(text)
+        assert other.classes_ == coder.classes_ and other.codebook_ != coder.codebook_
+        coder.transform(text)  # the kept dicts have joined once
+        coder.codebook_ = other.codebook_
+        assert chunked(coder, text, 300) == chunked(other, text, 300)
+
     def test_pickle_and_deepcopy_decode_identically(self):
         text = zipf_text("estimator-copies", 40, 4000)
         coder = MultiChannelHuffmanCoder(channels=(3, 2), method="suboptimal").fit(text)
@@ -127,6 +156,10 @@ class TestKeptReader:
             coder.inverse_transform(cut)
         for twin in (pickle.loads(pickle.dumps(coder)), copy.deepcopy(coder)):
             assert twin.tree_ == coder.tree_ and twin._reader.root is twin.tree_
+            # the kept dicts and reader come along, keyed to the twin's own attributes
+            book, classes, _ = twin._columns
+            assert book is twin.codebook_ and classes is twin.classes_ is twin._reader.classes
+            assert chunked(twin, text, 400) == streams
             assert [twin.inverse_transform(s) for s in streams] == expected
             with pytest.raises(TruncationError) as again:
                 twin.inverse_transform(cut)

@@ -68,6 +68,7 @@ from helpers import (
     pattern_parse,
     random_shape_tree,
     random_tree,
+    reference_codewords,
     walking_decode,
     walking_encode,
 )
@@ -509,6 +510,60 @@ def test_kept_reader_on_a_three_channel_zipf_code():
         assert [coder.classes_[j] for j in indices] == chunk
 
 
+# symbols of several types, none equal to another (1 == True == 1.0 would merge)
+SYMBOL_POOL = ("a", "b", "é", "", 0, 7, -3, 2**70, 2.5, None, (1, "a"), (), frozenset({4}), b"x", "0", "7")
+
+
+@pytest.mark.parametrize("channels", ((2, 3), (3, 2, 5), (2, 40)))
+@pytest.mark.parametrize("method", ("optimal", "suboptimal", "single"))
+@settings(PROPERTY_SETTINGS, max_examples=4)
+@given(st.integers(0, 2**32))
+def test_estimator_is_the_walking_codec(channels, method, seed):
+    """``transform`` and ``inverse_transform`` on chunks fed twice, so the second pass reads through the root window.
+
+    The streams are the walking encoder's on the symbols' indices, in the
+    caller's channel order, and the symbols decode as the walking decoder's
+    indices named by ``classes_``. Damaged streams raise what the estimator
+    raised before it read symbols: the type and message of a reader that
+    returns indices, labelled with the caller's channels.
+    """
+    rng = make_rng(f"estimator-codec:{seed}")
+    m = rng.randint(2, 9 if method == "optimal" else 60)
+    labels = rng.sample(SYMBOL_POOL, min(m, len(SYMBOL_POOL))) + [f"s{j}" for j in range(m - len(SYMBOL_POOL))]
+    coder = MultiChannelHuffmanCoder(channels, method=method).fit(
+        {sym: rng.randint(1, 30) for sym in labels}
+    )
+    classes, profile = coder.classes_, coder.profile_
+    index = {sym: j for j, sym in enumerate(classes)}
+
+    def canonical(streams):
+        return tuple(streams[u] for u in profile.user_order)
+
+    def caller(streams):
+        return tuple(streams[c] for c in profile.canonical_index)
+
+    text = rng.choices(labels, weights=[1 / j**1.1 for j in range(1, m + 1)], k=rng.randint(0, 3000))
+    cuts = sorted(rng.sample(range(len(text) + 1), min(6, len(text) + 1)))
+    chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    for chunk in chunks * 2:
+        streams = coder.transform(chunk)
+        assert streams == caller(walking_encode(coder.codebook_, [index[sym] for sym in chunk]))
+        decoded = coder.inverse_transform(streams)
+        assert decoded == [classes[j] for j in walking_decode(coder.tree_, canonical(streams))] == chunk
+
+    words, _ = reference_codewords(coder.tree_, profile.sizes)
+
+    def estimator(root, streams, count):
+        return coder.inverse_transform(caller(streams))
+
+    def index_reader(root, streams, count):
+        return [classes[j] for j in _Reader(root, profile.n, profile.user_order).read(streams)]
+
+    for _ in range(6):
+        streams, _ = damaged_streams(rng, coder.tree_, profile.sizes, words, KEPT_DAMAGES)
+        assert outcome(estimator, coder.tree_, streams, None) == outcome(index_reader, coder.tree_, streams, None)
+
+
 # three channels, and a q > 36 channel that some words leave empty
 ENCODE_CHANNELS = ((2, 2, 3), (2, 3, 5), (2, 40), (2, 3, 40))
 
@@ -560,7 +615,7 @@ def test_encode_is_the_walking_encoder(case):
 
 TREE_MUTATIONS = (
     "not-an-object", "symbol-type", "class-type", "children-type", "missing-key",
-    "bad-class", "child-count", "bad-symbol", "channels",
+    "bad-class", "child-count", "bad-symbol", "channels", "extra-key",
 )
 
 
@@ -602,6 +657,10 @@ def break_tree_file(doc: dict, how: str, rng) -> None:
         leaf = rng.choice(leaves)
         others = [other["symbol"] for other in leaves if other is not leaf]
         leaf["symbol"] = rng.choice([-1, len(leaves), rng.choice(others)])
+    elif how == "extra-key":
+        node = rng.choice(nodes)[0]
+        key = rng.choice([key for key in ("symbol", "dummy", "class", "children", "junk") if key not in node])
+        node[key] = rng.choice([0, True, [], None])
     else:
         value = rng.choice(["2", [1, 2], [2.5], None, [True], "missing"])
         if value == "missing":

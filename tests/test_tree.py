@@ -398,6 +398,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             tree_from_obj([1, 2])
 
+    @pytest.mark.parametrize("obj", [
+        {"symbol": 0, "dummy": True},
+        {"symbol": 0, "junk": 1},
+        {"dummy": True, "class": 0},
+        {"class": 0, "children": [{"symbol": 0}, {"symbol": 1}], "junk": 1},
+        {"class": 0, "children": [{"symbol": 0}, {"symbol": 1}], "symbol": 2},
+    ])
+    def test_rejects_extra_keys(self, obj):
+        with pytest.raises(ValueError, match=f"^unrecognized tree node object with keys {re.escape(str(sorted(obj)))}$"):
+            tree_from_obj(obj)
+
     @pytest.mark.parametrize("flag", [1, "no", [0], False, None])
     def test_dummy_flag_is_true_only(self, flag):
         assert tree_from_obj({"dummy": True}) == DummyLeaf()
