@@ -58,9 +58,8 @@ from .tree import (
     expected_length,
     local_redundancy,
     map_classes,
-    necessary_tree_check,
+    tree_from_codebook,
     tree_from_obj,
-    tree_from_two_channel_prefix,
     tree_to_obj,
     validate_tree,
 )
@@ -104,15 +103,14 @@ __all__ = [
     "kraft_sum",
     "local_redundancy",
     "map_classes",
-    "necessary_tree_check",
     "optimal_search",
     "prefix_free",
     "pruned_search",
     "replay_sequence",
     "suboptimal_build",
     "tight_example",
+    "tree_from_codebook",
     "tree_from_obj",
-    "tree_from_two_channel_prefix",
     "tree_to_obj",
     "trivial_extension",
     "validate_tree",

@@ -51,9 +51,8 @@ from .tree import (
     codebook_from_tree,
     count_leaves,
     local_redundancy,
-    necessary_tree_check,
+    tree_from_codebook,
     tree_from_obj,
-    tree_from_two_channel_prefix,
     tree_to_json,
     validate_tree,
 )
@@ -92,7 +91,9 @@ def _emit(text: str, out: str | Path | None) -> None:
 
 def _channels(path: Path, data: dict) -> list[int]:
     channels = data.get("channels")
-    if not isinstance(channels, list) or not all(isinstance(q, int) and q >= 2 for q in channels):
+    if not isinstance(channels, list) or not channels or not all(
+        isinstance(q, int) and q >= 2 for q in channels
+    ):
         raise CliError(f'{path}: "channels" must be an array of integers >= 2')
     return channels
 
@@ -271,20 +272,10 @@ def _decoding_tree(path: Path):
         return root, len(channels)
     if "words" in data:
         cb = _load_codebook(path, data)
-        if cb.n == 2:
-            try:
-                return tree_from_two_channel_prefix(cb), cb.n
-            except ValueError as exc:
-                raise CliError(f"{path}: {exc}") from exc
-        if not necessary_tree_check(cb):
-            raise CliError(
-                f"{path}: code is not tree-decodable "
-                "(every channel has a codeword with an empty component); cannot decode"
-            )
-        raise CliError(
-            f"{path}: decoding straight from a codebook is only supported for 2 channels; "
-            "pass a tree file instead"
-        )
+        try:
+            return tree_from_codebook(cb), cb.n
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
     raise CliError(f"{path}: file is neither a tree nor a codebook")
 
 
@@ -339,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode channel streams back into symbol indices")
-    p.add_argument("tree", help="tree JSON file (or 2-channel codebook JSON)")
+    p.add_argument("tree", help="tree JSON file (or codebook JSON)")
     p.add_argument("streams", help="streams JSON file")
     p.add_argument("--count", type=int, default=None, help="decode exactly this many symbols")
     p.add_argument("--out", help="write symbols here instead of stdout")

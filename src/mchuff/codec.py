@@ -33,13 +33,14 @@ def prefix_free(cb: Codebook) -> tuple[int, int] | None:
     """First pair of codewords that is not prefix-free, or None for a prefix code.
 
     Two words are prefix-free when at least one channel separates them,
-    i.e. neither component there is a prefix of the other. Cost is
-    O(m^2 * n * max length).
+    i.e. neither component there is a prefix of the other. Components are
+    compared as their digit strings, those of alphabets above 36 as tuples
+    of their comma-separated tokens. Cost is O(m^2 * n * max length).
     """
-    parsed = cb.parsed
-    for j1 in range(len(parsed)):
-        for j2 in range(j1 + 1, len(parsed)):
-            if not _separated(parsed[j1], parsed[j2]):
+    words = [tuple(map(digits.tokens, word, cb.sizes)) for word in cb.words]
+    for j1 in range(len(words)):
+        for j2 in range(j1 + 1, len(words)):
+            if not _separated(words[j1], words[j2]):
                 return (j1, j2)
     return None
 

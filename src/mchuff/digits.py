@@ -66,6 +66,11 @@ def _decimal_digit(token: str) -> bool:
     return token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")
 
 
+def tokens(text: str, q: int):
+    """A digit string as a sequence of one item per digit: itself up to 36 letters, its tokens above."""
+    return text if q <= 36 else tuple(filter(None, text.split(",")))
+
+
 def length(text: str, q: int) -> int:
     """Number of alphabet symbols a digit string encodes."""
     if not text:

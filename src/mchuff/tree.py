@@ -43,8 +43,7 @@ class Codebook:
     """Per-symbol codewords; ``words[j][i]`` is symbol j's digits on channel i.
 
     Construction checks every word, a channel's column at a time.
-    ``parsed[j][i]`` holds the same digits as ints, parsed on first use, and
-    ``columns[i]`` channel i's strings as a list (fast to index; never changed).
+    ``columns[i]`` holds channel i's strings as a list (fast to index; never changed).
     """
 
     words: tuple[tuple[str, ...], ...]
@@ -71,10 +70,6 @@ class Codebook:
             raise ValueError("every channel alphabet size must be at least 2")
         if any(type(q) is not int for q in self.sizes):
             raise ValueError(f"every channel alphabet size must be an integer, got {self.sizes!r}")
-
-    @functools.cached_property
-    def parsed(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(tuple(map(digits.parse, word, self.sizes)) for word in self.words)
 
     @functools.cached_property
     def columns(self) -> tuple[list[str], ...]:
@@ -311,16 +306,6 @@ def local_redundancy(root: Node, dist: Distribution) -> RedundancyReport:
     return RedundancyReport(tuple(records), length_total, h_source, total_r)
 
 
-def necessary_tree_check(cb: Codebook) -> set[int]:
-    """Channels that are non-empty in every codeword.
-
-    A decoding tree reads its root's channel for every codeword, so an
-    empty result for a code with two or more words proves no decoding tree
-    exists. (A one-word code is trivially tree-decodable regardless.)
-    """
-    return {i for i in range(cb.n) if all(word[i] for word in cb.words)}
-
-
 class PrefixFreeViolation(ValueError):
     """A claimed prefix code contains a pair that is not prefix-free."""
 
@@ -329,47 +314,62 @@ class PrefixFreeViolation(ValueError):
         self.pair = (first, second)
 
 
-def tree_from_two_channel_prefix(cb: Codebook) -> Node:
-    """Build a decoding tree for any 2-channel prefix code.
+def tree_from_codebook(cb: Codebook) -> Node:
+    """A decoding tree for a codebook of any channel count, built without recursion.
 
-    The root reads an always-non-empty channel (the lower-numbered one if
-    both qualify), codewords are partitioned by their first digit there,
-    that digit is stripped, and the construction recurses; a one-word group
-    becomes a single leaf and empty partitions become dummy leaves. A
-    non-prefix-free input inevitably produces a stuck partition, which is
-    reported with a violating pair of codeword indices.
+    Each group of two or more words is split by its first digit on the
+    lowest channel that every word of the group has digits left on; a
+    one-word part becomes a leaf and an empty part a dummy leaf. A tree that
+    decodes the group can always read such a channel first, so the rule
+    finds a tree whenever one exists. Groups are visited depth first in digit
+    order. At the first with no such channel, one or two channels prove the
+    code is not prefix-free, and the error names a pair of its words; on
+    three or more channels the code is not tree-decodable.
     """
-    if cb.n != 2:
-        raise ValueError(f"tree construction needs exactly 2 channels, got {cb.n}")
     if cb.m == 0:
         raise ValueError("empty codebook")
-    items = list(enumerate(cb.parsed))
-
-    def stuck_pair(group) -> tuple[int, int]:
-        fully_empty = [j for j, comps in group if not comps[0] and not comps[1]]
-        if fully_empty:
-            a = fully_empty[0]
-            b = next(j for j, _ in group if j != a)
-        else:
-            a = next(j for j, comps in group if not comps[0])
-            b = next(j for j, comps in group if not comps[1])
-        lo, hi = sorted((a, b))
-        return lo, hi
-
-    def build(group) -> Node:
-        if len(group) == 1:
-            return Leaf(group[0][0])
-        channels = [i for i in (0, 1) if all(comps[i] for _, comps in group)]
-        if not channels:
-            raise PrefixFreeViolation(*stuck_pair(group))
-        i = channels[0]
-        chunks: list[list] = [[] for _ in range(cb.sizes[i])]
-        for j, comps in group:
-            stripped = (comps[0][1:], comps[1]) if i == 0 else (comps[0], comps[1][1:])
-            chunks[comps[i][0]].append((j, stripped))
-        return Internal(i, tuple(build(c) if c else DummyLeaf() for c in chunks))
-
-    return build(items)
+    sizes = cb.sizes
+    # per channel: each word's digits and their count, and a digit's value
+    words = [[digits.tokens(c, q) for c in column] for column, q in zip(cb.columns, sizes)]
+    lengths = [list(map(len, column)) for column in words]
+    values = [{digits.render((d,), q): d for d in range(q)} for q in sizes]
+    built: list[Node] = []
+    # a group is its word indices, ascending, and the digits read on each channel; an int i
+    # marks where the q_i nodes on top of ``built`` become the children of a node reading i
+    stack: list = [(range(cb.m), (0,) * cb.n)]
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            children = tuple(built[-sizes[item]:])
+            del built[-sizes[item]:]
+            built.append(Internal(item, children))
+            continue
+        group, read = item
+        if len(group) < 2:
+            built.append(Leaf(group[0]) if group else DummyLeaf())
+            continue
+        i = next((i for i, d in enumerate(read) if min(map(lengths[i].__getitem__, group)) > d), None)
+        if i is None and cb.n > 2:
+            raise ValueError(
+                "code is not tree-decodable "
+                "(every channel has a codeword with an empty component); cannot decode"
+            )
+        if i is None:
+            # a word with no digit left and the first other, or the first with none left on each channel
+            spent = [{j for j in group if lengths[c][j] == d} for c, d in enumerate(read)]
+            both = set(group).intersection(*spent)
+            if both:
+                pair = (group[0], group[1] if group[0] in both else min(both))
+            else:
+                pair = sorted(map(min, spent))
+            raise PrefixFreeViolation(*pair)
+        parts: list[list[int]] = [[] for _ in range(sizes[i])]
+        column, value, d = words[i], values[i], read[i]
+        for j in group:
+            parts[value[column[j][d]]].append(j)
+        stack.append(i)
+        stack += [(part, read[:i] + (d + 1,) + read[i + 1:]) for part in reversed(parts)]
+    return built[0]
 
 
 def tree_to_obj(root: Node) -> dict:

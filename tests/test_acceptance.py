@@ -26,14 +26,13 @@ from mchuff import (
     huffman_expected_length,
     kraft_sum,
     local_redundancy,
-    necessary_tree_check,
     optimal_search,
     prefix_free,
     pruned_search,
     replay_sequence,
     suboptimal_build,
     tight_example,
-    tree_from_two_channel_prefix,
+    tree_from_codebook,
 )
 
 from helpers import (
@@ -204,7 +203,13 @@ def test_criterion_8_merge_sequence_census():
 
 def test_criterion_9_structural_fixtures():
     example = Codebook(words=(("0", "0", ""), ("1", "", "0"), ("", "1", "1")), sizes=(2, 2, 2))
-    example_ok = prefix_free(example) is None and necessary_tree_check(example) == set()
+    try:
+        tree_from_codebook(example)
+    except ValueError as exc:
+        refused = str(exc).startswith("code is not tree-decodable")
+    else:
+        refused = False
+    example_ok = prefix_free(example) is None and refused
 
     rng = make_rng("acceptance-roundtrip")
     two_channel = [(2, 3), (2, 4), (3, 4), (2, 2), (3, 3)]
@@ -214,7 +219,7 @@ def test_criterion_9_structural_fixtures():
         dist = random_distribution(rng, rng.randint(2, 10))
         root, _ = random_tree(rng, dist, profile)
         cb = codebook_from_tree(root, profile)
-        rebuilt = tree_from_two_channel_prefix(cb)
+        rebuilt = tree_from_codebook(cb)
         # identical words <=> identical length tuples <=> expected length
         # preserved exactly
         if codebook_from_tree(rebuilt, profile).words != cb.words:

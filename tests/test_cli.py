@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -325,6 +326,37 @@ class TestCodecCommands:
         ) == 0
         assert (tmp_path / "decoded.txt").read_text().strip() == "3 0 2"
 
+    def test_decode_from_three_channel_codebook(self, tmp_path, capsys):
+        masses = [f"{w}/2929" for w in (1000, 500, 333, 250, 200, 167, 143, 125, 111, 100)]
+        dist = write_json(tmp_path / "d.json", {"masses": masses, "channels": [5, 2, 3]})
+        assert main(["build", str(dist), "--method", "suboptimal", "--out-dir", str(tmp_path)]) == 0
+        words = json.loads((tmp_path / "codebook.json").read_text())["words"]
+        assert all(any(word[i] for word in words) for i in range(3))  # the code reads every channel
+        symbols = " ".join(str(make_rng("cli-three-channel").randrange(10)) for _ in range(500))
+        (tmp_path / "syms.txt").write_text(symbols + "\n")
+        streams = str(tmp_path / "streams.json")
+        assert main(["encode", str(tmp_path / "codebook.json"), str(tmp_path / "syms.txt"), "--out", streams]) == 0
+        capsys.readouterr()
+        assert main(["decode", str(tmp_path / "tree.json"), streams]) == 0
+        from_tree = capsys.readouterr()
+        assert main(["decode", str(tmp_path / "codebook.json"), streams]) == 0
+        assert capsys.readouterr() == from_tree == (symbols + "\n", "")
+
+    def test_decode_from_1200_deep_codebook(self, tmp_path, capsys):
+        """Symbol j is j ones then a zero on channel 1, the last 1,199 ones; channel 2 is never read."""
+        m = 1200
+        words = [["1" * j + "0", ""] for j in range(m - 1)] + [["1" * (m - 1), ""]]
+        book = write_json(tmp_path / "cb.json", {"channels": [2, 2], "words": words})
+        symbols = " ".join(map(str, [*range(m), *range(m - 1, -1, -1)]))
+        (tmp_path / "syms.txt").write_text(symbols + "\n")
+        streams = str(tmp_path / "streams.json")
+        assert main(["encode", str(book), str(tmp_path / "syms.txt"), "--out", streams]) == 0
+        start = time.perf_counter()
+        assert main(["decode", str(book), streams]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr() == (symbols + "\n", "")
+        assert elapsed < 1.0
+
     def test_three_channel_codebook_encodes_but_wont_decode(self, tmp_path, capsys):
         book = write_json(tmp_path / "cb.json", EXAMPLE_THREE)
         (tmp_path / "syms.txt").write_text("0 1 2\n")
@@ -334,6 +366,15 @@ class TestCodecCommands:
         ) == 0
         assert main(["decode", str(book), str(tmp_path / "streams.json")]) == 2
         assert "not tree-decodable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_no_channels_exits_2(self, tmp_path, capsys, command):
+        book = write_json(tmp_path / "cb.json", {"channels": [], "words": [[], []]})
+        (tmp_path / "syms.txt").write_text("0 1 1 0\n")
+        write_json(tmp_path / "streams.json", {"streams": []})
+        data = tmp_path / ("syms.txt" if command == "encode" else "streams.json")
+        assert main([command, str(book), str(data)]) == 2
+        assert capsys.readouterr() == ("", f'error: {book}: "channels" must be an array of integers >= 2\n')
 
     def test_words_must_be_arrays(self, tmp_path, capsys):
         book = write_json(tmp_path / "cb.json", {"channels": [2, 2], "words": ["01", "10"]})

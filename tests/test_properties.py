@@ -41,6 +41,7 @@ from mchuff import (
     optimal_search,
     pruned_search,
     suboptimal_build,
+    tree_from_codebook,
     tree_to_obj,
 )
 from mchuff import digits
@@ -182,7 +183,6 @@ def test_codebook_checks_as_the_eager_loop(book):
         assert (type(raised.value), str(raised.value)) == (type(expected), str(expected))
         return
     cb = Codebook(words=words, sizes=sizes)
-    assert cb.parsed == parsed
     assert cb.length_tuples() == tuple(tuple(map(len, word)) for word in parsed)
 
 
@@ -393,6 +393,29 @@ def test_kraft_sum_with_dummies_is_one(dist, profile, rng):
     root, _ = random_tree(rng, dist, profile)
     lengths = codebook_from_tree(root, profile).length_tuples()
     assert kraft_sum(lengths + tuple(dummy_length_tuples(root, profile.n)), profile) == 1
+
+
+# caller's channel orders, three channels or more, or one of 40 letters
+REBUILT_CHANNELS = ((2, 3, 5), (3, 2, 5), (3, 4, 7), (2, 2, 3), (3, 40), (2, 40, 3))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(REBUILT_CHANNELS).map(ChannelProfile.from_sizes),
+    st.sampled_from(("optimal", "suboptimal", "single")),
+    searched_sources.filter(lambda dist: dist.m <= 12),
+    st.randoms(use_true_random=False),
+)
+def test_codebook_rebuilds_a_tree_that_decodes_as_the_built_one(profile, method, dist, rng):
+    """A built code's codebook, in the caller's channel order as codebook.json holds it."""
+    channel = rng.randrange(profile.n) if method == "single" else 0
+    root = map_classes(construct(dist, profile, method, channel=channel).tree, profile.user_order)
+    cb = codebook_from_tree(root, profile.user_sizes)
+    rebuilt = tree_from_codebook(cb)
+    assert codebook_from_tree(rebuilt, cb.sizes).words == cb.words
+    symbols = [rng.randrange(dist.m) for _ in range(rng.randint(0, 40))]
+    streams = encode(cb, symbols)
+    assert decode(rebuilt, streams) == decode(root, streams) == symbols
 
 
 # caller's channel orders, out of order too; q = 40 writes comma-separated digits

@@ -25,11 +25,10 @@ from mchuff import (
     kraft_sum,
     local_redundancy,
     map_classes,
-    necessary_tree_check,
     prefix_free,
     replay_sequence,
+    tree_from_codebook,
     tree_from_obj,
-    tree_from_two_channel_prefix,
     tree_to_obj,
     validate_tree,
 )
@@ -67,12 +66,8 @@ EXAMPLE_THREE_CHANNEL = Codebook(
 class TestCodebook:
     def test_digits_are_parsed_once_and_not_compared(self):
         cb = Codebook(words=(("10", ""), ("", "0,39")), sizes=(2, 40))
-        assert cb.parsed == (((1, 0), ()), ((), (0, 39)))
         assert cb.length_tuples() == ((2, 0), (0, 2))
         assert cb == Codebook(words=(("10", ""), ("", "0,39")), sizes=(2, 40))
-        assert "parsed" not in repr(cb)
-        with pytest.raises(TypeError):
-            Codebook(words=(), sizes=(2,), parsed=())
 
     @pytest.mark.parametrize("q", [2, 40])
     @pytest.mark.parametrize("bad", [0, None, False, (), [], ("0", "1"), 1])
@@ -323,14 +318,22 @@ def _dummy_kraft(root, sizes, depths=None):
     return total
 
 
+NOT_TREE_DECODABLE = (
+    "code is not tree-decodable (every channel has a codeword with an empty component); cannot decode"
+)
+
+
 class TestNecessaryTreeCheck:
+    """A decoding tree's root reads a channel that is non-empty in every codeword."""
+
     def test_three_channel_counterexample(self):
         assert prefix_free(EXAMPLE_THREE_CHANNEL) is None
-        assert necessary_tree_check(EXAMPLE_THREE_CHANNEL) == set()
+        with pytest.raises(ValueError, match=f"^{re.escape(NOT_TREE_DECODABLE)}$"):
+            tree_from_codebook(EXAMPLE_THREE_CHANNEL)
 
     def test_half_tree_codebook(self):
         cb = codebook_from_tree(HALF_TREE, PROFILE_23)
-        assert necessary_tree_check(cb) == {0}
+        assert tree_from_codebook(cb).class_index == 0
 
     def test_contains_root_class(self):
         rng = make_rng("tree-necessary")
@@ -339,30 +342,37 @@ class TestNecessaryTreeCheck:
             dist = random_distribution(rng, rng.randint(2, 9))
             root, _ = random_tree(rng, dist, profile)
             cb = codebook_from_tree(root, profile)
-            assert root.class_index in necessary_tree_check(cb)
+            # the rebuilt root reads the lowest such channel
+            lowest = min(c for c in range(profile.n) if all(word[c] for word in cb.words))
+            assert tree_from_codebook(cb).class_index == lowest <= root.class_index
 
 
-class TestTreeFromTwoChannelPrefix:
+class TestTreeFromCodebook:
     def test_recursion_structure(self):
         cb = Codebook(words=(("0", "0"), ("1", "0"), ("1", "1")), sizes=(2, 2))
-        root = tree_from_two_channel_prefix(cb)
+        root = tree_from_codebook(cb)
         assert isinstance(root, Internal) and root.class_index == 0
         branch = root.children[1]
         assert isinstance(branch, Internal) and branch.class_index == 1
 
     def test_single_codeword_becomes_leaf(self):
         cb = Codebook(words=(("01", ""),), sizes=(2, 2))
-        assert tree_from_two_channel_prefix(cb) == Leaf(0)
+        assert tree_from_codebook(cb) == Leaf(0)
 
     def test_not_prefix_free_reports_pair(self):
         cb = Codebook(words=(("0", ""), ("", "0")), sizes=(2, 2))
         with pytest.raises(PrefixFreeViolation) as err:
-            tree_from_two_channel_prefix(cb)
+            tree_from_codebook(cb)
         assert err.value.pair == (0, 1)
 
-    def test_rejects_other_channel_counts(self):
-        with pytest.raises(ValueError):
-            tree_from_two_channel_prefix(EXAMPLE_THREE_CHANNEL)
+    def test_three_channels(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(NOT_TREE_DECODABLE)}$") as err:
+            tree_from_codebook(EXAMPLE_THREE_CHANNEL)
+        assert not isinstance(err.value, PrefixFreeViolation)
+        profile = ChannelProfile.from_sizes((2, 3, 5))
+        root = construct(Distribution.from_masses(["1/10"] * 10), profile, "suboptimal").tree
+        cb = codebook_from_tree(root, profile)
+        assert codebook_from_tree(tree_from_codebook(cb), profile).words == cb.words
 
     def test_roundtrip_preserves_tree_codebooks(self):
         rng = make_rng("tree-roundtrip")
@@ -372,7 +382,7 @@ class TestTreeFromTwoChannelPrefix:
             dist = random_distribution(rng, rng.randint(1, 10))
             root, _ = random_tree(rng, dist, profile) if dist.m > 1 else (Leaf(0), ())
             cb = codebook_from_tree(root, profile)
-            rebuilt = tree_from_two_channel_prefix(cb)
+            rebuilt = tree_from_codebook(cb)
             # identical words mean identical length tuples, hence the
             # expected length is preserved exactly
             assert codebook_from_tree(rebuilt, profile).words == cb.words
