@@ -2,9 +2,10 @@
 
 Codes are replayed from the q-ary merge sequence and read off the tree
 by ``tree.leaf_codewords``, the one codeword walk. Lengths alone
-(``huffman_lengths``) and merged totals (``huffman_merged_total``) merge
-through ``search.merge_smallest`` without building a tree. The lengths
-break ties as the replay does, so they are the code's, and
+(``huffman_lengths``) merge in the replay's two queues without building a
+tree, and merged totals (``huffman_merged_total``) through
+``search.merge_smallest``. The lengths break ties as the replay does, so
+they are the code's, and
 ``code_length_nats``, which ``build_single_huffman`` also calls, turns
 them into the code's expected length.
 """
@@ -90,22 +91,35 @@ def build_single_huffman(dist: Distribution, q: int) -> SingleChannelCode:
 def huffman_lengths(dist: Distribution, q: int) -> list[int]:
     """Codeword lengths of ``build_single_huffman(dist, q)``, by symbol, without building its tree.
 
-    Entries merge as ``(weight, order)`` pairs, where ``order`` is j for
-    symbol j and m + t for the t-th merge, so ties break as in
-    ``replay_sequence``. Each merge records itself as its entries' parent;
-    a parent is made after its children, so depths read back in reverse
-    order of making, with no recursion.
+    Merges in two queues as ``replay_sequence`` does, where symbol j has
+    order j and the t-th merge order m + t, so ties break as there. A
+    Huffman run's merged sums never fall, so each is appended. Each merge
+    records itself as its entries' parent; a parent is made after its
+    children, so depths read back in reverse order of making, with no
+    recursion.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     m = dist.m
-    items = list(zip(dist.weights, range(m)))
+    # each queue ends in a sentinel heavier than any entry, as in replay_sequence
+    top = dist.scale + 1
+    weights = dist.weights + (top,)
+    sums = [top]
     parent = [0] * m
+    i = h = 0
     for k in huffman_merge_sequence(m, q):
-        picked = items[:k]
-        for _, order in picked:
-            parent[order] = len(parent)
-        merge_smallest(items, k, (sum(weight for weight, _ in picked), len(parent)))
+        made = len(parent)
+        merged = 0
+        for _ in range(k):
+            if weights[i] <= sums[h]:
+                merged += weights[i]
+                parent[i] = made
+                i += 1
+            else:
+                merged += sums[h]
+                parent[m + h] = made
+                h += 1
+        sums.insert(-1, merged)
         parent.append(0)  # the merged entry's own parent, set when it is merged in turn
     depth = [0] * len(parent)
     for order in range(len(parent) - 2, -1, -1):

@@ -10,8 +10,14 @@ mass counts keeps each multiset once, with its shortest prefix, and the
 exponentially many sequences collapse onto shared work. The multiset is
 held as the integer weights of ``Distribution.weights``, all over the one
 denominator ``Distribution.scale``: sweep keys are int tuples, a cost is
-``merged / scale * ln q``, and every merge in the package (searches,
-replays into trees, Huffman totals) goes through ``merge_smallest``.
+``merged / scale * ln q``, and the searches and Huffman totals merge
+through ``merge_smallest``, which keeps one sorted list. A replay into a
+tree (``replay_sequence``) and ``huffman.huffman_lengths`` make the same
+merges in linear time from two queues: the sorted masses, read through a
+pointer, and the merged entries, kept sorted in a list read from a head
+pointer. Each round takes its k entries from the two heads, a mass
+winning a weight tie, which is the ``(weight, order)`` order of the one
+sorted list.
 Which merges are admissible is stated once, in the table ``merge_options``,
 which lists a merge only if the count it leaves can still end in one mass;
 the sweep and the depth-first walk ``merge_prefixes`` follow it.
@@ -229,16 +235,22 @@ def replay_sequence(
     ``classes`` optionally forces the channel per step (used to realize a
     single-channel code on a channel other than the smallest fitting one).
     Merged children keep their draw order, dummies fill the trailing slots.
-    Entries merge as ``(weight, order, node)`` with a unique ``order``, so
-    weight ties break by symbol, then production order, never by node.
+    Masses and merged entries wait in two queues (see the module
+    docstring), so weight ties break by symbol, then production order.
     """
-    items: list[tuple[int, int, Node]] = [(x, j, Leaf(j)) for j, x in enumerate(dist.weights)]
-    counter = dist.m
+    weights, m = dist.weights, dist.m
+    # originals are read from weights[i], merged entries from sums[h] and nodes[h]; each queue
+    # ends in a sentinel heavier than any entry, so a round compares heads without bounds checks
+    top = dist.scale + 1
+    weights += (top,)
+    sums, nodes = [top], [None]
+    i = h = 0
     steps: list[MergeStep] = []
     step = None
     for t, k in enumerate(sequence):
-        if k < 2 or k > len(items):
-            raise ValueError(f"step {t}: cannot merge {k} of {len(items)} masses")
+        left = m - i + len(sums) - 1 - h
+        if k < 2 or k > left:
+            raise ValueError(f"step {t}: cannot merge {k} of {left} masses")
         if classes is None:
             ci, w = step_class(profile, k, first=(t == 0))
         else:
@@ -250,16 +262,26 @@ def replay_sequence(
                 )
             if t > 0 and w:
                 raise ValueError(f"step {t}: only the first round may use dummy slots")
-        picked = items[:k]
-        merged = sum(weight for weight, _, _ in picked)
-        children = tuple(node for _, _, node in picked)
+        merged = 0
+        children: list[Node] = []
+        for _ in range(k):
+            if weights[i] <= sums[h]:  # an original wins a tie: its order is lower
+                merged += weights[i]
+                children.append(Leaf(i))
+                i += 1
+            else:
+                merged += sums[h]
+                children.append(nodes[h])
+                h += 1
         if w:
-            children += tuple(DummyLeaf() for _ in range(w))
-        merge_smallest(items, k, (merged, counter, Internal(ci, children)))
-        counter += 1
+            children += [DummyLeaf() for _ in range(w)]
+        # a multi-channel sum can fall below one still waiting; it goes after equal sums, as the latest made
+        at = bisect.bisect_right(sums, merged, h)
+        sums.insert(at, merged)
+        nodes.insert(at, Internal(ci, tuple(children)))
         if step is None or (step.k, step.class_index, step.dummies) != (k, ci, w):
             step = MergeStep(k=k, class_index=ci, dummies=w)  # equal steps share one frozen object
         steps.append(step)
-    if len(items) != 1:
+    if m - i + len(sums) - 1 - h != 1:
         raise ValueError("merge sequence does not reduce the masses to one")
-    return items[0][2], tuple(steps)
+    return (Leaf(i) if i < m else nodes[h]), tuple(steps)

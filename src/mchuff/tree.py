@@ -317,14 +317,15 @@ class PrefixFreeViolation(ValueError):
 def tree_from_codebook(cb: Codebook) -> Node:
     """A decoding tree for a codebook of any channel count, built without recursion.
 
-    Each group of two or more words is split by its first digit on the
-    lowest channel that every word of the group has digits left on; a
-    one-word part becomes a leaf and an empty part a dummy leaf. A tree that
-    decodes the group can always read such a channel first, so the rule
-    finds a tree whenever one exists. Groups are visited depth first in digit
-    order. At the first with no such channel, one or two channels prove the
-    code is not prefix-free, and the error names a pair of its words; on
-    three or more channels the code is not tree-decodable.
+    Each group of words is split by its first digit on the lowest channel
+    that every word of the group has digits left on, an empty part becoming
+    a dummy leaf, until it is one word with no digits left, a leaf. A tree
+    that decodes the group can always read such a channel first, so the
+    rule finds a tree whenever one exists. Groups are visited depth first in
+    digit order. At the first group of two or more words with no such
+    channel, one or two channels prove the code is not prefix-free, and the
+    error names a pair of its words; on three or more channels the code is
+    not tree-decodable.
     """
     if cb.m == 0:
         raise ValueError("empty codebook")
@@ -345,10 +346,13 @@ def tree_from_codebook(cb: Codebook) -> Node:
             built.append(Internal(item, children))
             continue
         group, read = item
-        if len(group) < 2:
-            built.append(Leaf(group[0]) if group else DummyLeaf())
+        if not group:
+            built.append(DummyLeaf())
             continue
         i = next((i for i, d in enumerate(read) if min(map(lengths[i].__getitem__, group)) > d), None)
+        if i is None and len(group) == 1:
+            built.append(Leaf(group[0]))
+            continue
         if i is None and cb.n > 2:
             raise ValueError(
                 "code is not tree-decodable "

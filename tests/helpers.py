@@ -6,6 +6,7 @@ All randomness is seeded from the MCHUFF_SEED environment variable
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import heapq
@@ -51,8 +52,8 @@ from mchuff import digits
 from mchuff.cli import main as cli_main
 from mchuff.core import SUM_TOLERANCE, ordered_sum
 from mchuff.heuristics import MAX_PREFIXES, prefix_count
-from mchuff.huffman import huffman_merged_total
-from mchuff.search import merge_options, merge_prefixes, merge_smallest
+from mchuff.huffman import huffman_merge_sequence, huffman_merged_total
+from mchuff.search import MergeStep, merge_options, merge_prefixes, merge_smallest, step_class
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
 
@@ -82,6 +83,72 @@ def heap_merged_total(masses, q: int):
         total += s
         heapq.heappush(heap, s)
     return total
+
+
+def insort_replay_sequence(dist: Distribution, profile: ChannelProfile, sequence, classes=None):
+    """``replay_sequence`` merging in one sorted list, the reference its two queues are checked against.
+
+    Entries are ``(weight, order, node)`` with a unique ``order``, and each
+    round replaces the k smallest by their merge through ``merge_smallest``.
+    """
+    items = [(x, j, Leaf(j)) for j, x in enumerate(dist.weights)]
+    counter = dist.m
+    steps = []
+    for t, k in enumerate(sequence):
+        if k < 2 or k > len(items):
+            raise ValueError(f"step {t}: cannot merge {k} of {len(items)} masses")
+        if classes is None:
+            ci, w = step_class(profile, k, first=(t == 0))
+        else:
+            ci = classes[t]
+            w = profile.sizes[ci] - k
+            if w < 0:
+                raise ValueError(
+                    f"step {t}: channel {ci} (q={profile.sizes[ci]}) cannot merge {k} masses"
+                )
+            if t > 0 and w:
+                raise ValueError(f"step {t}: only the first round may use dummy slots")
+        picked = items[:k]
+        children = tuple(node for _, _, node in picked) + tuple(DummyLeaf() for _ in range(w))
+        merge_smallest(items, k, (sum(weight for weight, _, _ in picked), counter, Internal(ci, children)))
+        counter += 1
+        steps.append(MergeStep(k=k, class_index=ci, dummies=w))
+    if len(items) != 1:
+        raise ValueError("merge sequence does not reduce the masses to one")
+    return items[0][2], tuple(steps)
+
+
+def insort_huffman_lengths(dist: Distribution, q: int) -> list[int]:
+    """``huffman_lengths`` merging ``(weight, order)`` pairs in one sorted list, the reference for its two queues."""
+    m = dist.m
+    items = list(zip(dist.weights, range(m)))
+    parent = [0] * m
+    for k in huffman_merge_sequence(m, q):
+        picked = items[:k]
+        for _, order in picked:
+            parent[order] = len(parent)
+        merge_smallest(items, k, (sum(weight for weight, _ in picked), len(parent)))
+        parent.append(0)
+    depth = [0] * len(parent)
+    for order in range(len(parent) - 2, -1, -1):
+        depth[order] = depth[parent[order]] + 1
+    return depth[:m]
+
+
+def falling_merges(weights, sequence) -> int:
+    """Rounds of a merge sequence whose sum is below that of an earlier merge still waiting.
+
+    There a two-queue replay inserts the new sum among the merged entries
+    instead of appending it.
+    """
+    items = [(w, False) for w in weights]
+    falls = 0
+    for k in sequence:
+        merged = sum(w for w, _ in items[:k])
+        del items[:k]
+        falls += any(made and w > merged for w, made in items)
+        bisect.insort(items, (merged, True))
+    return falls
 
 
 def random_distribution(rng: random.Random, m: int) -> Distribution:

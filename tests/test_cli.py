@@ -326,6 +326,16 @@ class TestCodecCommands:
         ) == 0
         assert (tmp_path / "decoded.txt").read_text().strip() == "3 0 2"
 
+    def test_decode_from_codebook_whose_word_runs_past_its_split(self, tmp_path, capsys):
+        """Word 0 is alone after its first digit, and its second digit is still read."""
+        book = write_json(tmp_path / "cb.json", {"channels": [2, 2], "words": [["00", ""], ["1", ""]]})
+        (tmp_path / "syms.txt").write_text("0 1\n")
+        streams = tmp_path / "streams.json"
+        assert main(["encode", str(book), str(tmp_path / "syms.txt"), "--out", str(streams)]) == 0
+        assert json.loads(streams.read_text())["streams"] == ["001", ""]
+        assert main(["decode", str(book), str(streams)]) == 0
+        assert capsys.readouterr() == ("0 1\n", "")
+
     def test_decode_from_three_channel_codebook(self, tmp_path, capsys):
         masses = [f"{w}/2929" for w in (1000, 500, 333, 250, 200, 167, 143, 125, 111, 100)]
         dist = write_json(tmp_path / "d.json", {"masses": masses, "channels": [5, 2, 3]})

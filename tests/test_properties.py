@@ -40,6 +40,7 @@ from mchuff import (
     map_classes,
     optimal_search,
     pruned_search,
+    replay_sequence,
     suboptimal_build,
     tree_from_codebook,
     tree_to_obj,
@@ -61,12 +62,16 @@ from helpers import (
     damaged_streams,
     dummy_length_tuples,
     eager_codebook_check,
+    falling_merges,
     fraction_from_masses,
     heap_merged_total,
+    insort_huffman_lengths,
+    insort_replay_sequence,
     make_rng,
     memo_optimal_search,
     outcome,
     pattern_parse,
+    random_sequence,
     random_shape_tree,
     random_tree,
     reference_codewords,
@@ -296,6 +301,76 @@ def test_unreduced_mass_strings_read_in_lowest_terms(masses_and_factors):
     assert mass_outcome(lambda: Distribution.from_masses(strings)) == mass_outcome(
         lambda: fraction_from_masses(strings)
     ) == mass_outcome(lambda: Distribution.from_masses(masses))
+
+
+def replay_outcome(replay):
+    """What a replay gives: its tree and steps, or the text of the ValueError it raises."""
+    try:
+        return replay()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_replay_matches_insort_oracle():
+    """Trees, steps and error texts, on tie-heavy and fine masses, with and without forced channels.
+
+    Some sequences are damaged (a round dropped, added or changed), so the
+    errors are met with merged entries still waiting, and some rounds merge
+    a sum below that of an earlier merge still waiting.
+    """
+    falls = []
+
+    @settings(PROPERTY_SETTINGS, max_examples=150)
+    @given(
+        st.integers(1, 40),
+        st.sampled_from((4, 10**6)),
+        st.sampled_from(ORACLE_CHANNELS),
+        st.booleans(),
+        st.sampled_from(("none", "none", "none", "drop", "add", "change")),
+        st.randoms(use_true_random=False),
+    )
+    def check(m, top, sizes, forced, damage, rng):
+        weights = [rng.randint(1, top) for _ in range(m)]
+        total = sum(weights)
+        dist = Distribution.from_masses([Fraction(w, total) for w in weights])
+        profile = ChannelProfile.from_sizes(sizes)
+        sequence = list(random_sequence(rng, m, profile)) if m > 1 else []
+        if damage == "drop" and sequence:
+            del sequence[rng.randrange(len(sequence))]
+        elif damage == "add":
+            sequence.insert(rng.randint(0, len(sequence)), rng.choice(profile.sizes))
+        elif damage == "change" and sequence:
+            sequence[rng.randrange(len(sequence))] = rng.randint(1, 6)
+        classes = None
+        if forced:
+            fits = [[c for c, q in enumerate(profile.sizes) if q == k or t == 0 and q > k]
+                    for t, k in enumerate(sequence)]
+            classes = [rng.choice(cs) if cs else rng.randrange(profile.n) for cs in fits]
+        assert replay_outcome(lambda: replay_sequence(dist, profile, sequence, classes)) == replay_outcome(
+            lambda: insort_replay_sequence(dist, profile, sequence, classes)
+        )
+        if damage == "none":
+            falls.append(falling_merges(dist.weights, sequence))
+
+    check()
+    assert any(falls)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(
+    st.integers(1, 16_384),
+    st.sampled_from((2, 3, 5, 40)),
+    st.sampled_from((10, 1000, 10**6)),
+    st.sampled_from((0.8, 1.0, 1.5)),
+)
+@example(16_384, 2, 1000, 1.0)
+@example(16_384, 40, 10**6, 0.8)
+def test_huffman_lengths_match_insort_oracle(m, q, top, s):
+    """Zipf counts max(1, round(top / j**s)): the tail of a large alphabet ties at small counts."""
+    counts = [max(1, round(top / j**s)) for j in range(1, m + 1)]
+    total = sum(counts)
+    dist = Distribution.from_masses([Fraction(c, total) for c in counts])
+    assert huffman_lengths(dist, q) == insort_huffman_lengths(dist, q)
 
 
 @PROPERTY_SETTINGS

@@ -258,6 +258,12 @@ class TestReplaySequence:
         with pytest.raises(ValueError):
             replay_sequence(dist, PROFILE_23, (3, 2))
 
+    def test_merge_count_error_counts_both_queues(self):
+        # after (2, 3) the original 6/10 and the merged 4/10 wait: two masses in all
+        dist = Distribution.from_masses(["1/10"] * 4 + ["6/10"])
+        with pytest.raises(ValueError, match=r"^step 2: cannot merge 3 of 2 masses$"):
+            replay_sequence(dist, PROFILE_23, (2, 3, 3))
+
     def test_forced_class_allows_padded_single_channel(self):
         # the ternary code for four masses pads its first merge with one dummy
         dist = Distribution.from_masses(["1/8", "1/8", "1/4", "1/2"])

@@ -356,8 +356,16 @@ class TestTreeFromCodebook:
         assert isinstance(branch, Internal) and branch.class_index == 1
 
     def test_single_codeword_becomes_leaf(self):
+        # the leaf sits where the word's digits run out, padding beside it
         cb = Codebook(words=(("01", ""),), sizes=(2, 2))
-        assert tree_from_codebook(cb) == Leaf(0)
+        assert tree_from_codebook(cb) == Internal(0, (Internal(0, (DummyLeaf(), Leaf(0))), DummyLeaf()))
+        assert tree_from_codebook(Codebook(words=(("", ""),), sizes=(2, 2))) == Leaf(0)
+
+    def test_word_alone_with_digits_left_is_read_to_its_end(self):
+        cb = Codebook(words=(("00", ""), ("1", "")), sizes=(2, 2))
+        root = tree_from_codebook(cb)
+        assert root == Internal(0, (Internal(0, (Leaf(0), DummyLeaf())), Leaf(1)))
+        assert decode(root, encode(cb, [0, 1])) == [0, 1]
 
     def test_not_prefix_free_reports_pair(self):
         cb = Codebook(words=(("0", ""), ("", "0")), sizes=(2, 2))
