@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import string
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -48,11 +49,11 @@ from .huffman import code_length_nats, dummy_count, huffman_lengths
 from .search import SearchResult, merge_prefixes
 from .tree import (
     Codebook,
+    _read_tree,
     codebook_from_tree,
     count_leaves,
-    local_redundancy,
+    redundancy_totals,
     tree_from_codebook,
-    tree_from_obj,
     tree_to_json,
     validate_tree,
 )
@@ -77,8 +78,21 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_text(obj: dict) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, from pieces that C code encodes.
+
+    ``obj`` is a non-empty flat object: its values are scalars or arrays of scalars.
+    Before Python 3.13, the indented call runs json's pure-Python encoder
+    over every array item.
+    """
+    items = []
+    for key in sorted(obj):
+        value = obj[key]
+        text = json.dumps(value, separators=(",\n    ", ": "))
+        if isinstance(value, list) and value:
+            text = f"[\n    {text[1:-1]}\n  ]"
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def _emit(text: str, out: str | Path | None) -> None:
@@ -200,7 +214,7 @@ def cmd_build(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     codebook = codebook_from_tree(result.tree, profile)
-    report = local_redundancy(result.tree, dist)
+    entropy_nats, redundancy_nats = redundancy_totals(result.tree, dist)
     user_sizes = profile.user_sizes
     canon = profile.canonical_index
     user_words = [[word[c] for c in canon] for word in codebook.words]
@@ -210,8 +224,8 @@ def cmd_build(args) -> int:
     stats = {
         "method": args.method,
         "expected_length_nats": result.expected_length,
-        "entropy_nats": report.entropy,
-        "redundancy_nats": report.total_redundancy,
+        "entropy_nats": entropy_nats,
+        "redundancy_nats": redundancy_nats,
         "merge_sequence": list(result.sequence),
         "merge_channels": [profile.user_order[s.class_index] + 1 for s in result.steps],
         "dummy_leaves": result.dummy_leaves,
@@ -241,19 +255,29 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+# the bytes of a symbols file whose tokens are all ASCII digits: those and ASCII whitespace
+_INDEX_TEXT = string.digits.encode() + b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def cmd_encode(args) -> int:
     path = Path(args.codebook)
     cb = _load_codebook(path, _read_json(path))
     text = Path(args.symbols).read_text("utf-8")
+    tokens = text.split()
+    # the text is checked at C speed, and its tokens are walked only to name the first bad one
     try:
-        symbols = list(map(int, text.split()))
+        if text.encode().translate(None, _INDEX_TEXT):
+            raise ValueError
+        symbols = list(map(int, tokens))
     except ValueError:
-        for tok in text.split():
+        for tok in tokens:
             try:
-                int(tok)
+                if not tok.isascii() or not tok.isdigit():
+                    raise ValueError
+                int(tok)  # raises for more digits than int converts
             except ValueError:
                 raise CliError(f"{args.symbols}: {tok!r} is not a symbol index") from None
-        raise
+        symbols = list(map(int, tokens))  # good tokens between whitespace that is not ASCII
     _emit(_json_text({"streams": list(encode(cb, symbols))}), args.out)
     return EXIT_OK
 
@@ -263,12 +287,11 @@ def _decoding_tree(path: Path):
     if "root" in data:
         channels = _channels(path, data)
         try:
-            root = tree_from_obj(data["root"])
+            root, clean = _read_tree(data["root"], channels)
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from exc
-        problems = validate_tree(root, channels, count_leaves(root))
-        if problems:
-            raise CliError(f"{path}: invalid tree: {problems[0]}")
+        if not clean:  # walked again only to word the first problem
+            raise CliError(f"{path}: invalid tree: {validate_tree(root, channels, count_leaves(root))[0]}")
         return root, len(channels)
     if "words" in data:
         cb = _load_codebook(path, data)

@@ -192,6 +192,9 @@ class _Reader:
         self.sizes = sizes = _infer_sizes(root, n)
         self.alphabets = [_digit_chars(q) if q else "" for q in sizes]
         self.values = [dict(zip(chars, range(len(chars)))) for chars in self.alphabets]
+        # per channel above 36 letters, each digit's token in a stream to its character
+        self.tokens = [dict(zip(map(str, range(len(chars))), chars)) if len(chars) > 36 else None
+                       for chars in self.alphabets]
         # a table's exits are ids: 0, 1, ... into nodes (the root is 0) and ~0, ~1, ... into
         # what its leaves read out as (``classes[j]`` or j), given as the table is made; a tree's
         # node is the exit of one table at most
@@ -238,7 +241,12 @@ class _Reader:
         return out
 
     def _texts(self, streams: tuple) -> list[str]:
-        """One character per digit: a base-36 stream as it is, a decimal list through chr."""
+        """One character per digit: a base-36 stream as it is, a decimal list token by token.
+
+        ``digits.parse`` accepts exactly the tokens of ``tokens[i]``, so it
+        is called on a decimal list only to raise its reason for a token
+        the table lacks.
+        """
         sizes, labels = self.sizes, self.labels
         texts: list[str] = []
         for i, text in enumerate(streams):
@@ -253,7 +261,11 @@ class _Reader:
                 if not text:
                     texts.append("")
                 elif sizes[i] > 36:
-                    texts.append("".join(map(chr, digits.parse(text, sizes[i]))))
+                    try:
+                        texts.append("".join(map(self.tokens[i].__getitem__, text.split(","))))
+                    except (AttributeError, KeyError, TypeError):  # a missing token, or not a str
+                        digits.parse(text, sizes[i])  # raises the reason
+                        raise
                 elif digits.all_valid((text,), sizes[i]):
                     texts.append(text)
                 else:

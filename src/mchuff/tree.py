@@ -11,6 +11,7 @@ down the tree.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -84,7 +85,14 @@ class Codebook:
         return len(self.sizes)
 
     def length_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(map(digits.length, word, self.sizes)) for word in self.words)
+        """Each word's ``digits.length`` per channel, counted a column at a time."""
+        counts = [
+            map(len, column) if q <= 36
+            # a comma before every digit but the first; an empty component has none
+            else map(int.__add__, map(str.count, column, itertools.repeat(",")), map(bool, column))
+            for column, q in zip(self.columns, self.sizes)
+        ]
+        return tuple(zip(*counts)) if counts else ((),) * self.m
 
 
 def _spell(place) -> str:
@@ -279,7 +287,24 @@ def local_redundancy(root: Node, dist: Distribution) -> RedundancyReport:
     entropies are cross-checked against the source entropy and the call
     refuses to return inconsistent numbers.
     """
-    records: list[NodeRedundancy] = []
+    paths, terms, h_source, total_r = _redundancy(root, dist, paths=True)
+    records = tuple(NodeRedundancy(path, *term) for path, term in zip(paths, terms))
+    length_total = ordered_sum(n.reaching_probability * math.log(n.alphabet_size) for n in records)
+    return RedundancyReport(records, length_total, h_source, total_r)
+
+
+def redundancy_totals(root: Node, dist: Distribution) -> tuple[float, float]:
+    """``local_redundancy``'s ``entropy`` and ``total_redundancy``, bit for bit, without its per-node records."""
+    return _redundancy(root, dist)[2:]
+
+
+def _redundancy(root: Node, dist: Distribution, paths: bool = False):
+    """``local_redundancy``'s arithmetic: per internal node in post-order, its path (only if
+    ``paths`` is set) and ``(s, h, alpha, r)``; then the source entropy and the summed
+    redundancy, once the branching entropies are seen to add up to the former.
+    """
+    names: list[str] = []
+    terms: list[tuple[float, float, int, float]] = []
 
     def record(path: str, s: int, child_weights: list[int]) -> None:
         sf = s / dist.scale
@@ -290,20 +315,19 @@ def local_redundancy(root: Node, dist: Distribution) -> RedundancyReport:
             if cw and (f := cw / s):
                 total += f * math.log(f)
         h = -total + 0.0
-        r = sf * (math.log(alpha) - h)
-        records.append(NodeRedundancy(path, sf, h, alpha, r))
+        if paths:
+            names.append(path)
+        terms.append((sf, h, alpha, sf * (math.log(alpha) - h)))
 
-    _post_order(root, dist, record, paths=True)
-    length_total = ordered_sum(n.reaching_probability * math.log(n.alphabet_size) for n in records)
-    entropy_total = ordered_sum(n.reaching_probability * n.branching_entropy for n in records)
+    _post_order(root, dist, record, paths)
+    entropy_total = ordered_sum(s * h for s, h, _, _ in terms)
     h_source = entropy(dist)
     if abs(entropy_total - h_source) > 1e-9:
         raise ArithmeticError(
             f"conditional branching entropies sum to {entropy_total}, "
             f"but the source entropy is {h_source}"
         )
-    total_r = ordered_sum(n.local_redundancy for n in records)
-    return RedundancyReport(tuple(records), length_total, h_source, total_r)
+    return names, terms, h_source, ordered_sum(r for _, _, _, r in terms)
 
 
 class PrefixFreeViolation(ValueError):
@@ -431,31 +455,82 @@ def tree_to_json(root: Node, channels: Sequence[int], mapping: Sequence[int]) ->
 
 
 def tree_from_obj(obj) -> Node:
-    """Parse the nested-object form back into a tree.
+    """Parse the nested-object form back into a tree, in one walk without recursion.
 
     A node object holds exactly the keys of its shape: ``symbol`` for a
     leaf, ``dummy`` for a padding leaf, ``class`` and ``children`` for an
-    internal node. Any other key set is rejected.
+    internal node. Any other key set is rejected. Nodes are checked in
+    pre-order, so the error raised is the first bad node's.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"tree node must be an object, got {type(obj).__name__}")
-    keys = len(obj)
-    if keys == 1 and "symbol" in obj:
-        sym = obj["symbol"]
-        if not isinstance(sym, int) or isinstance(sym, bool):
-            raise ValueError("leaf symbol must be an integer")
-        return Leaf(sym)
-    if keys == 1 and obj.get("dummy") is True:
-        return DummyLeaf()
-    if keys == 2 and "class" in obj and "children" in obj:
-        ci = obj["class"]
-        if not isinstance(ci, int) or isinstance(ci, bool):
-            raise ValueError("node class must be an integer")
-        children = obj["children"]
-        if not isinstance(children, list) or not children:
-            raise ValueError("children must be a non-empty list")
-        return Internal(ci, tuple(tree_from_obj(c) for c in children))
-    raise ValueError(f"unrecognized tree node object with keys {sorted(obj)}")
+    return _read_tree(obj, ())[0]
+
+
+# a padding slot as tree.json writes it, and the one padding leaf every read shares
+_PADDING_OBJ = {"dummy": True}
+_PADDING = DummyLeaf()
+# on ``_read_tree``'s stack: the children above it are built, so their parent can be
+_CLOSE = object()
+
+
+def _read_tree(obj, sizes: Sequence[int]) -> tuple[Node, bool]:
+    """``tree_from_obj``'s tree, and whether ``validate_tree(tree, sizes, count_leaves(tree))`` finds nothing.
+
+    The walk gathers what validation judges: each internal node's class
+    and child count, whether a node's slots are all padding, and the leaf
+    symbols. The tree is valid exactly when every class is in range with as
+    many children as its channel's size, no node's slots are all padding
+    (the lowest node of a subtree without a real leaf would be one), and
+    the symbols are 0..L-1 for L leaves.
+    """
+    built: list[Node] = []
+    opened: list[tuple[int, int]] = []  # (class, child count) of the nodes whose children are being read
+    shapes: set[tuple[int, int]] = set()
+    symbols: list[int] = []
+    hollow = False
+    stack = [obj]
+    # the exact types json.loads makes are let through before the general checks
+    pop, extend, put, add_symbol = stack.pop, stack.extend, built.append, symbols.append
+    while stack:
+        obj = pop()
+        if obj is _CLOSE:
+            ci, k = opened.pop()
+            children = tuple(built[-k:])
+            del built[-k:]
+            put(Internal(ci, children))
+            continue
+        if type(obj) is not dict and not isinstance(obj, dict):
+            raise ValueError(f"tree node must be an object, got {type(obj).__name__}")
+        keys = len(obj)
+        if keys == 1 and "symbol" in obj:
+            sym = obj["symbol"]
+            if type(sym) is not int and (not isinstance(sym, int) or isinstance(sym, bool)):
+                raise ValueError("leaf symbol must be an integer")
+            add_symbol(sym)
+            put(Leaf(sym))
+        elif keys == 1 and obj.get("dummy") is True:
+            put(_PADDING)
+        elif keys == 2 and "class" in obj and "children" in obj:
+            ci = obj["class"]
+            if type(ci) is not int and (not isinstance(ci, int) or isinstance(ci, bool)):
+                raise ValueError("node class must be an integer")
+            children = obj["children"]
+            if not isinstance(children, list) or not children:
+                raise ValueError("children must be a non-empty list")
+            shape = (ci, len(children))
+            opened.append(shape)
+            shapes.add(shape)
+            # a padding slot's object equals _PADDING_OBJ; any other equal object fails its own check
+            hollow = hollow or children.count(_PADDING_OBJ) == shape[1]
+            stack.append(_CLOSE)
+            extend(reversed(children))
+        else:
+            raise ValueError(f"unrecognized tree node object with keys {sorted(obj)}")
+    clean = (
+        not hollow
+        and all(0 <= ci < len(sizes) and sizes[ci] == k for ci, k in shapes)
+        and set(symbols) == set(range(len(symbols)))
+    )
+    return built[0], clean
 
 
 def map_classes(root: Node, mapping: Sequence[int]) -> Node:

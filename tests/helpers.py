@@ -417,6 +417,33 @@ def walking_decode(root, streams, count: int | None = None) -> list[int]:
     return out
 
 
+def recursive_tree_from_obj(obj):
+    """``tree.tree_from_obj`` as it was before it read trees in one walk: one call per node.
+
+    It is the oracle for the loader's trees and for its error messages,
+    which name the first bad node in pre-order.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"tree node must be an object, got {type(obj).__name__}")
+    keys = len(obj)
+    if keys == 1 and "symbol" in obj:
+        sym = obj["symbol"]
+        if not isinstance(sym, int) or isinstance(sym, bool):
+            raise ValueError("leaf symbol must be an integer")
+        return Leaf(sym)
+    if keys == 1 and obj.get("dummy") is True:
+        return DummyLeaf()
+    if keys == 2 and "class" in obj and "children" in obj:
+        ci = obj["class"]
+        if not isinstance(ci, int) or isinstance(ci, bool):
+            raise ValueError("node class must be an integer")
+        children = obj["children"]
+        if not isinstance(children, list) or not children:
+            raise ValueError("children must be a non-empty list")
+        return Internal(ci, tuple(recursive_tree_from_obj(c) for c in children))
+    raise ValueError(f"unrecognized tree node object with keys {sorted(obj)}")
+
+
 #: Channel lists the decoders are checked on damaged streams over: three channels, and q > 36.
 DECODE_CHANNELS = (
     (2,), (3,), (5,), (36,), (37,), (40,), (2, 3), (3, 2), (2, 40), (37, 3), (5, 2, 3), (36, 2, 40),

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mchuff.cli import main
+from mchuff import METRICS, ChannelProfile, Distribution, local_redundancy
+from mchuff.cli import _construct, main
 
 from helpers import GEOMETRIC_1200, build_hashes, large_alphabet_hashes, make_rng
 
@@ -120,6 +121,27 @@ class TestBuild:
         assert abs(stats["expected_length_nats"] - 1.6929615368) < 1e-9
         tree = json.loads((tmp_path / "tree.json").read_text())
         assert tree["root"]["class"] == 1  # the ternary channel as the user listed it
+
+    @pytest.mark.parametrize("masses, channels, method", [
+        *((BENCHMARK["masses"], [3, 2], method) for method in (
+            "optimal", "suboptimal", *(f"prune={metric}" for metric in METRICS), "single=1", "single=2")),
+        (["1"], [2, 3], "optimal"),  # no merges: both merge lists are empty
+        (["1"], [40], "single=1"),
+        (["0.333333333333"] * 3, [2, 3], "suboptimal"),  # rescaled
+        (ENTROPY_ROW["masses"], [40, 2, 3], "suboptimal"),
+    ])
+    def test_stats_are_json_dumps_of_the_reports_totals(self, tmp_path, masses, channels, method):
+        """stats.json is what ``json.dumps(..., indent=2, sort_keys=True)`` writes, with ``local_redundancy``'s totals."""
+        dist_file = write_json(tmp_path / "d.json", {"masses": masses, "channels": channels})
+        assert main(["build", str(dist_file), "--method", method, "--out-dir", str(tmp_path)]) == 0
+        text = (tmp_path / "stats.json").read_text("utf-8")
+        stats = json.loads(text)
+        assert text == json.dumps(stats, indent=2, sort_keys=True) + "\n"
+        dist, profile = Distribution.from_masses(masses), ChannelProfile.from_sizes(channels)
+        report = local_redundancy(_construct(dist, profile, method).tree, dist)
+        assert [stats["entropy_nats"].hex(), stats["redundancy_nats"].hex()] == [
+            report.entropy.hex(), report.total_redundancy.hex()]
+        assert stats["rescaled"] == dist.rescaled
 
     def test_deterministic_bytes(self, tmp_path):
         dist = write_json(tmp_path / "d.json", BENCHMARK)
@@ -472,7 +494,20 @@ class TestCodecCommands:
         out = self.build(tmp_path)
         (tmp_path / "syms.txt").write_text("0 ٣ 1\n2 x 1.0 3\n")
         assert main(["encode", str(out / "codebook.json"), str(tmp_path / "syms.txt")]) == 2
-        assert capsys.readouterr().err == f"error: {tmp_path / 'syms.txt'}: 'x' is not a symbol index\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'syms.txt'}: '٣' is not a symbol index\n"
+
+    @pytest.mark.parametrize("token", ["+1", "٣", "1_0"], ids=["sign", "arabic-indic-digit", "underscore"])
+    def test_symbol_token_is_ascii_digits(self, tmp_path, capsys, token):
+        """``int`` reads each of these tokens, but a symbol index is written in ASCII decimal digits only."""
+        out = self.build(tmp_path)
+        (tmp_path / "syms.txt").write_text(f"2 {token} 0\n")
+        streams = tmp_path / "streams.json"
+        capsys.readouterr()
+        assert main(
+            ["encode", str(out / "codebook.json"), str(tmp_path / "syms.txt"), "--out", str(streams)]
+        ) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'syms.txt'}: {token!r} is not a symbol index\n")
+        assert not streams.exists()
 
 
 class TestOneProcess:

@@ -43,15 +43,16 @@ from mchuff import (
     replay_sequence,
     suboptimal_build,
     tree_from_codebook,
+    tree_from_obj,
     tree_to_obj,
 )
 from mchuff import digits
-from mchuff.cli import _codebook_json
+from mchuff.cli import _codebook_json, _json_text
 from mchuff.cli import main as cli_main
 from mchuff.codec import _Reader
 from mchuff.huffman import code_length_nats, huffman_lengths, huffman_merged_total
 from mchuff.search import merge_options
-from mchuff.tree import tree_to_json
+from mchuff.tree import _read_tree, count_leaves, tree_to_json, validate_tree
 
 from helpers import (
     DAMAGES,
@@ -74,6 +75,7 @@ from helpers import (
     random_sequence,
     random_shape_tree,
     random_tree,
+    recursive_tree_from_obj,
     reference_codewords,
     walking_decode,
     walking_encode,
@@ -534,6 +536,16 @@ def test_codebook_json_matches_json_dumps(channels_and_words, rng):
     assert _codebook_json(channels, words, input_index) == expected
 
 
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6))
+
+
+@PROPERTY_SETTINGS
+@given(st.dictionaries(st.text(max_size=6), json_scalars | st.lists(json_scalars, max_size=5), min_size=1, max_size=8))
+def test_flat_json_text_matches_json_dumps(obj):
+    """Any non-empty flat object: empty arrays, escapes, non-ASCII text, NaN and infinities too."""
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 CODEC_CHANNELS = ((2,), (2, 3), (2, 40), (5, 2, 3))
 # digits of every alphabet, the separator of large ones, and characters no alphabet has
 digit_strings = st.one_of(
@@ -759,6 +771,15 @@ def break_tree_file(doc: dict, how: str, rng) -> None:
         node = rng.choice(nodes)[0]
         key = rng.choice([key for key in ("symbol", "dummy", "class", "children", "junk") if key not in node])
         node[key] = rng.choice([0, True, [], None])
+    elif how == "hollow":  # every slot of a node becomes padding
+        children = rng.choice(internal)["children"]
+        children[:] = [{"dummy": True} for _ in children]
+    elif how == "missing-symbol":  # a leaf becomes padding
+        _, parent, slot = rng.choice([(node, parent, slot) for node, parent, slot in nodes if "symbol" in node])
+        if parent is None:
+            doc["root"] = {"dummy": True}
+        else:
+            parent[slot] = {"dummy": True}
     else:
         value = rng.choice(["2", [1, 2], [2.5], None, [True], "missing"])
         if value == "missing":
@@ -787,6 +808,54 @@ def test_decode_cli_rejects_broken_tree_files(dist, profile, how, rng):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(["decode", str(tree_file), str(streams_file)])
     assert code in (2, 3, 4)
+
+
+# every mutation but the channels array's: the loader reads nodes, and the CLI checks channels first
+LOADER_MUTATIONS = ("none", *(how for how in TREE_MUTATIONS if how != "channels"), "hollow", "missing-symbol")
+
+
+def loaded(reader, obj):
+    """What ``reader`` returns for ``obj``, or the type and message of the exception it raises."""
+    try:
+        return reader(obj)
+    except Exception as exc:  # compared with the oracle's
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("sizes", DECODE_CHANNELS)
+@settings(PROPERTY_SETTINGS, max_examples=3)
+@given(st.integers(0, 2**32))
+def test_tree_loader_is_the_recursive_parse_then_validation(sizes, seed):
+    """Random trees of any shape, whole and with one fault each, read by the loader, the oracle and ``mchuff decode``.
+
+    The loader gives the oracle's tree or raises its error, and calls a
+    tree clean exactly when ``validate_tree`` finds nothing. ``mchuff
+    decode`` prints the line the oracle and ``validate_tree`` word.
+    """
+    rng = make_rng(f"tree-loader:{seed}")
+    for how in LOADER_MUTATIONS:
+        doc = {"channels": list(sizes), "root": tree_to_obj(random_shape_tree(rng, sizes, rng.randint(2, 30)))}
+        if how != "none":
+            break_tree_file(doc, how, rng)
+        expected = loaded(recursive_tree_from_obj, doc["root"])
+        assert loaded(tree_from_obj, doc["root"]) == expected, how
+        got = loaded(lambda obj: _read_tree(obj, sizes), doc["root"])
+        if isinstance(expected, tuple):
+            assert got == expected, how
+            line = expected[1]
+        else:
+            problems = validate_tree(expected, sizes, count_leaves(expected))
+            assert got == (expected, not problems), how
+            line = f"invalid tree: {problems[0]}" if problems else None
+        assert how != "none" or line is None
+        with tempfile.TemporaryDirectory() as tmp:
+            tree_file, streams_file = Path(tmp) / "tree.json", Path(tmp) / "streams.json"
+            tree_file.write_text(json.dumps(doc))
+            streams_file.write_text(json.dumps({"streams": [""] * len(sizes)}))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli_main(["decode", str(tree_file), str(streams_file)])
+        assert (code, err.getvalue()) == ((0, "") if line is None else (2, f"error: {tree_file}: {line}\n")), how
 
 
 # JSON values a malformed file holds where a well-formed one has something else

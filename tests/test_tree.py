@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mchuff import (
+    METRICS,
     ChannelProfile,
     Codebook,
     Distribution,
@@ -33,14 +34,16 @@ from mchuff import (
     validate_tree,
 )
 from mchuff import digits
-from mchuff.tree import leaf_codewords, tree_to_json
+from mchuff.tree import leaf_codewords, redundancy_totals, tree_to_json
 
 from helpers import (
+    DECODE_CHANNELS,
     GEOMETRIC_1200,
     PROFILES,
     count_dummies,
     make_rng,
     random_distribution,
+    random_shape_tree,
     random_tree,
     reference_codewords,
     tree_results_tsv,
@@ -64,6 +67,19 @@ EXAMPLE_THREE_CHANNEL = Codebook(
 
 
 class TestCodebook:
+    def test_length_tuples_are_each_components_digit_count(self):
+        """Counted a column at a time, as ``digits.length`` counts each component: empty ones and q > 36 too."""
+        rng = make_rng("length-tuples")
+        books = [
+            Codebook(words=(("", "1,2,39"), ("01", ""), ("", ""), ("z", "0")), sizes=(36, 40)),
+            Codebook(words=((), ()), sizes=()),
+            Codebook(words=(), sizes=(2, 40)),
+        ]
+        for sizes in DECODE_CHANNELS:
+            books.append(codebook_from_tree(random_shape_tree(rng, sizes, rng.randint(1, 40)), sizes))
+        for cb in books:
+            assert cb.length_tuples() == tuple(tuple(map(digits.length, word, cb.sizes)) for word in cb.words)
+
     def test_digits_are_parsed_once_and_not_compared(self):
         cb = Codebook(words=(("10", ""), ("", "0,39")), sizes=(2, 40))
         assert cb.length_tuples() == ((2, 0), (0, 2))
@@ -285,6 +301,37 @@ class TestLocalRedundancy:
                 report.total_redundancy, abs=1e-9
             )
             assert all(n.local_redundancy >= -1e-12 for n in report.nodes)
+
+    @pytest.mark.parametrize(
+        "method, kwargs",
+        [("optimal", {}), ("suboptimal", {}), *(("prune", {"metric": metric}) for metric in METRICS),
+         ("single", {"channel": 0}), ("single", {"channel": 1})],
+        ids=lambda x: x if isinstance(x, str) else ",".join(map(str, x.values())),
+    )
+    def test_totals_are_the_reports_bit_for_bit(self, method, kwargs):
+        rng = make_rng(f"redundancy-totals:{method}")
+        for _ in range(15):
+            profile = ChannelProfile.from_sizes(rng.choice(PROFILES))
+            dist = random_distribution(rng, rng.randint(2, 9))
+            tree = construct(dist, profile, method, **kwargs).tree
+            report = local_redundancy(tree, dist)
+            totals = redundancy_totals(tree, dist)
+            assert [x.hex() for x in totals] == [report.entropy.hex(), report.total_redundancy.hex()]
+
+    def test_totals_make_the_reports_cross_check(self):
+        """Weights that add up to 4/5 of their scale: the branching entropies miss the source entropy."""
+
+        class Unchecked(Distribution):
+            def __post_init__(self) -> None:
+                pass
+
+        dist = Unchecked(weights=(1, 1, 2), scale=5, input_order=(0, 1, 2))
+        root = Internal(0, (Leaf(2), Internal(0, (Leaf(0), Leaf(1)))))
+        with pytest.raises(ArithmeticError, match="^conditional branching entropies sum to ") as report:
+            local_redundancy(root, dist)
+        with pytest.raises(ArithmeticError) as totals:
+            redundancy_totals(root, dist)
+        assert str(totals.value) == str(report.value)
 
     def test_kraft_tracks_dummy_leaves_exactly(self):
         rng = make_rng("tree-kraft")
