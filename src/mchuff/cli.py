@@ -7,7 +7,8 @@ File formats (all UTF-8 JSON except the TSV table output):
   with leaves ``{"symbol": j}`` and padding slots ``{"dummy": true}``;
   ``class`` indexes the file's own ``channels`` array
 - codebook: ``{"channels": [...], "words": [["0", "1"], ...]}``
-- streams: ``{"streams": ["0110", "2012"]}``
+- streams: ``{"streams": ["0110", "2012"]}``; codeword components and
+  streams are digit strings, whose format ``mchuff.digits`` alone states
 
 Channels appear in the caller's order everywhere; command output labels
 them 1-based. Symbol indices refer to masses sorted nondecreasing (the
@@ -50,8 +51,8 @@ from .search import SearchResult, merge_prefixes
 from .tree import (
     Codebook,
     _read_tree,
-    codebook_from_tree,
     count_leaves,
+    leaf_codewords,
     redundancy_totals,
     tree_from_codebook,
     tree_to_json,
@@ -213,7 +214,8 @@ def cmd_build(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    codebook = codebook_from_tree(result.tree, profile)
+    # construct's tree holds exactly the symbols 0..m-1, so its codewords need no tree check
+    codebook = Codebook(tuple(leaf_codewords(result.tree, profile.sizes, dist.m)[0]), profile.sizes)
     entropy_nats, redundancy_nats = redundancy_totals(result.tree, dist)
     user_sizes = profile.user_sizes
     canon = profile.canonical_index

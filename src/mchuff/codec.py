@@ -1,4 +1,4 @@
-"""Multi-channel encoder/decoder and prefix-freeness verification."""
+"""Multi-channel encoder/decoder and prefix-freeness check; ``digits`` alone states the digit format."""
 
 from __future__ import annotations
 
@@ -33,11 +33,10 @@ def prefix_free(cb: Codebook) -> tuple[int, int] | None:
     """First pair of codewords that is not prefix-free, or None for a prefix code.
 
     Two words are prefix-free when at least one channel separates them,
-    i.e. neither component there is a prefix of the other. Components are
-    compared as their digit strings, those of alphabets above 36 as tuples
-    of their comma-separated tokens. Cost is O(m^2 * n * max length).
+    i.e. neither component there is a prefix of the other, compared in
+    ``digits.to_letters``' form. Cost is O(m^2 * n * max length).
     """
-    words = [tuple(map(digits.tokens, word, cb.sizes)) for word in cb.words]
+    words = [tuple(map(digits.to_letters, word, cb.sizes)) for word in cb.words]
     for j1 in range(len(words)):
         for j2 in range(j1 + 1, len(words)):
             if not _separated(words[j1], words[j2]):
@@ -68,22 +67,7 @@ def encode(cb: Codebook, symbols) -> tuple[str, ...]:
         for pos, s in enumerate(idx):
             if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < m:
                 raise ValueError(f"symbols[{pos}]: index {s!r} out of range 0..{m - 1}")
-    return _join(cb.columns, cb.sizes, idx)
-
-
-def _join(columns, sizes, keys: list) -> tuple[str, ...]:
-    """One stream per channel: ``column[key]`` for each key in order, joined as the channel's size wants.
-
-    A q <= 36 channel concatenates its base-36 components; a q > 36 channel
-    joins its nonempty components with commas. A column is a list indexed by
-    symbol index or a dict keyed by fitted symbol; a key it lacks raises as
-    its ``__getitem__`` does, on the first such key.
-    """
-    return tuple(
-        "".join(map(column.__getitem__, keys)) if q <= 36
-        else ",".join(filter(None, map(column.__getitem__, keys)))
-        for column, q in zip(columns, sizes)
-    )
+    return tuple(digits.join(map(column.__getitem__, idx), q) for column, q in zip(cb.columns, cb.sizes))
 
 
 def _infer_sizes(root: Node, n: int) -> list[int | None]:
@@ -107,11 +91,6 @@ def _infer_sizes(root: Node, n: int) -> list[int | None]:
 
 # a lookahead table covers at most this many strings of its channel's next k digits
 TABLE_LIMIT = 4096
-
-
-def _digit_chars(q: int) -> str:
-    """One character per digit of a q-ary alphabet, as decode reads its streams."""
-    return digits.render(range(q), q) if q <= 36 else "".join(map(chr, range(q)))
 
 
 def decode(root: Node, streams, count: int | None = None) -> list[int]:
@@ -190,11 +169,8 @@ class _Reader:
         self.root, self.n, self.classes = root, n, classes
         self.labels = tuple(range(n)) if labels is None else tuple(labels)
         self.sizes = sizes = _infer_sizes(root, n)
-        self.alphabets = [_digit_chars(q) if q else "" for q in sizes]
-        self.values = [dict(zip(chars, range(len(chars)))) for chars in self.alphabets]
-        # per channel above 36 letters, each digit's token in a stream to its character
-        self.tokens = [dict(zip(map(str, range(len(chars))), chars)) if len(chars) > 36 else None
-                       for chars in self.alphabets]
+        # per channel, ``digits.alphabet``'s letters and their values; none for a channel never read
+        self.alphabets, self.values = zip(*[digits.alphabet(q or 0)[:2] for q in sizes])
         # a table's exits are ids: 0, 1, ... into nodes (the root is 0) and ~0, ~1, ... into
         # what its leaves read out as (``classes[j]`` or j), given as the table is made; a tree's
         # node is the exit of one table at most
@@ -223,8 +199,19 @@ class _Reader:
         """Decode ``streams``, n of them, as ``decode`` does, with errors naming the labels.
 
         Leaves read out as ``classes`` names them, if the reader has classes.
+        Streams are read in ``digits.to_letters``' form, so one that is not a
+        str raises TypeError; a channel the tree never reads must have none.
         """
-        texts = self._texts(streams)
+        texts: list[str] = []
+        for label, q, text in zip(self.labels, self.sizes, streams):
+            if q is None and isinstance(text, str) and text:
+                raise TrailingDataError(
+                    f"stream {label} carries digits but the tree never reads channel {label}"
+                )
+            try:
+                texts.append(digits.to_letters(text, 2 if q is None else q))
+            except ValueError as exc:
+                raise CorruptionError(f"stream {label}: {exc}") from exc
         ends = [len(t) for t in texts]
         with self.lock:
             self.budget += sum(ends)
@@ -239,40 +226,6 @@ class _Reader:
         if leftovers:
             raise TrailingDataError(f"streams {leftovers} have digits left after {len(out)} symbols")
         return out
-
-    def _texts(self, streams: tuple) -> list[str]:
-        """One character per digit: a base-36 stream as it is, a decimal list token by token.
-
-        ``digits.parse`` accepts exactly the tokens of ``tokens[i]``, so it
-        is called on a decimal list only to raise its reason for a token
-        the table lacks.
-        """
-        sizes, labels = self.sizes, self.labels
-        texts: list[str] = []
-        for i, text in enumerate(streams):
-            if sizes[i] is None:
-                if text:
-                    raise TrailingDataError(
-                        f"stream {labels[i]} carries digits but the tree never reads channel {labels[i]}"
-                    )
-                texts.append("")
-                continue
-            try:
-                if not text:
-                    texts.append("")
-                elif sizes[i] > 36:
-                    try:
-                        texts.append("".join(map(self.tokens[i].__getitem__, text.split(","))))
-                    except (AttributeError, KeyError, TypeError):  # a missing token, or not a str
-                        digits.parse(text, sizes[i])  # raises the reason
-                        raise
-                elif digits.all_valid((text,), sizes[i]):
-                    texts.append(text)
-                else:
-                    digits.parse(text, sizes[i])  # raises the reason
-            except ValueError as exc:
-                raise CorruptionError(f"stream {labels[i]}: {exc}") from exc
-        return texts
 
     def _table(self, i: int) -> tuple[dict, int, int]:
         """(lookahead table, channel, k) of node i, made once within what is left of the budget."""

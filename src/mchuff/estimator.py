@@ -12,10 +12,11 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .codec import _join, _Reader
+from . import digits
+from .codec import _Reader
 from .core import ChannelProfile, Distribution, entropy
 from .heuristics import construct
-from .tree import codebook_from_tree
+from .tree import Codebook, leaf_codewords
 
 
 def _columns_by_symbol(codebook, classes: tuple) -> tuple:
@@ -90,7 +91,8 @@ class MultiChannelHuffmanCoder:
         self.classes_ = tuple(symbols[dist.input_order[j]] for j in range(dist.m))
         self.tree_ = result.tree
         self._reader = _Reader(result.tree, profile.n, profile.user_order, self.classes_)
-        self.codebook_ = codebook_from_tree(result.tree, profile)
+        # construct's tree holds exactly the symbols 0..m-1, so its codewords need no tree check
+        self.codebook_ = Codebook(tuple(leaf_codewords(result.tree, profile.sizes, dist.m)[0]), profile.sizes)
         self._columns = _columns_by_symbol(self.codebook_, self.classes_)
         self.merge_sequence_ = result.sequence
         self.expected_length_ = result.expected_length
@@ -111,7 +113,8 @@ class MultiChannelHuffmanCoder:
         if book is not self.codebook_ or classes is not self.classes_:
             book, classes, columns = self._columns = _columns_by_symbol(self.codebook_, self.classes_)
         try:
-            canonical = _join(columns, book.sizes, symbols)
+            canonical = [digits.join(map(column.__getitem__, symbols), q)
+                         for column, q in zip(columns, book.sizes)]
         except KeyError:
             seen = columns[0]
             pos, sym = next((pos, sym) for pos, sym in enumerate(symbols) if sym not in seen)

@@ -5,13 +5,13 @@ has exactly ``q_i`` child slots; unused slots hold explicit dummy leaves
 so Kraft accounting stays visible. Nodes are frozen dataclasses, so trees
 are immutable and safe to share. Codewords come from one iterative walk,
 ``leaf_codewords``, which carries each node's per-channel digit strings
-down the tree.
+down the tree; ``digits``, the one module that states how a digit is
+written, labels, counts and reads them.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -86,12 +86,7 @@ class Codebook:
 
     def length_tuples(self) -> tuple[tuple[int, ...], ...]:
         """Each word's ``digits.length`` per channel, counted a column at a time."""
-        counts = [
-            map(len, column) if q <= 36
-            # a comma before every digit but the first; an empty component has none
-            else map(int.__add__, map(str.count, column, itertools.repeat(",")), map(bool, column))
-            for column, q in zip(self.columns, self.sizes)
-        ]
+        counts = list(map(digits.lengths, self.columns, self.sizes))
         return tuple(zip(*counts)) if counts else ((),) * self.m
 
 
@@ -177,8 +172,8 @@ def leaf_codewords(
     ``root`` must hold leaves for exactly the symbols 0..m-1. Returns the
     codewords indexed by symbol, each leaf's depth (the digits read on all
     channels) and the padding leaves' depths. A child's string on its
-    parent's channel is the parent's plus one digit; alphabets above 36
-    put a comma before every digit but a string's first.
+    parent's channel is the parent's plus one digit's label from
+    ``digits.labels``.
     """
     labels: list = [None] * len(sizes)  # per channel: labels of a first digit and of later ones
     words: list[tuple[str, ...]] = [()] * m
@@ -195,8 +190,7 @@ def leaf_codewords(
         else:
             i = node.class_index
             if labels[i] is None:
-                first = [digits.render((d,), sizes[i]) for d in range(sizes[i])]
-                labels[i] = first, first if sizes[i] <= 36 else ["," + label for label in first]
+                labels[i] = digits.labels(sizes[i])
             head, digits_so_far, tail = word[:i], word[i], word[i + 1:]
             depth += 1
             stack += [
@@ -354,10 +348,10 @@ def tree_from_codebook(cb: Codebook) -> Node:
     if cb.m == 0:
         raise ValueError("empty codebook")
     sizes = cb.sizes
-    # per channel: each word's digits and their count, and a digit's value
-    words = [[digits.tokens(c, q) for c in column] for column, q in zip(cb.columns, sizes)]
+    # per channel: each word's digits, one letter each, their count, and a letter's value
+    words = [[digits.to_letters(c, q) for c in column] for column, q in zip(cb.columns, sizes)]
     lengths = [list(map(len, column)) for column in words]
-    values = [{digits.render((d,), q): d for d in range(q)} for q in sizes]
+    values = [digits.alphabet(q).values for q in sizes]
     built: list[Node] = []
     # a group is its word indices, ascending, and the digits read on each channel; an int i
     # marks where the q_i nodes on top of ``built`` become the children of a node reading i

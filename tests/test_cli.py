@@ -218,9 +218,10 @@ class TestTooDeep:
         "argv, channels",
         [
             (["build", "{dist}", "--method", "single=1", "--out-dir", "{out}"], [2]),
+            # optimal, prune and suboptimal build the 1,199-deep code, then the recursive
+            # _post_order walk of redundancy_totals exceeds the limit before any file is written
             (["build", "{dist}", "--method", "optimal", "--out-dir", "{out}"], [2]),
             (["build", "{dist}", "--method", "prune=redundancy", "--out-dir", "{out}"], [2]),
-            # the sweep builds the 1,199-deep code, then validate_tree's recursive walk exceeds the limit
             (["build", "{dist}", "--method", "suboptimal", "--out-dir", "{out}"], [2, 3]),
         ],
         ids=["build-single", "build-optimal", "build-prune", "build-suboptimal-2-3"],

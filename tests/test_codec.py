@@ -178,6 +178,29 @@ class TestLargeAlphabetDigits:
             decode(FORTY_TREE, ("", text))
 
 
+# reads channel 0 (q = 2), then channel 1 (q = 3 or 40) after a 1; channel 2 is never read
+def two_channel_tree(q: int) -> Internal:
+    return Internal(0, (Leaf(0), Internal(1, (Leaf(1), Leaf(2)) + (DummyLeaf(),) * (q - 2))))
+
+
+class TestNonStringStreams:
+    """A stream that is not a str raises one TypeError, on a channel read or not, at every alphabet size."""
+
+    @pytest.mark.parametrize("q", [3, 40])
+    @pytest.mark.parametrize("bad", [None, 0, [], b"0"], ids=repr)
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_decode_and_reader_raise_type_error(self, q, bad, channel):
+        root = two_channel_tree(q)
+        streams = ["0110", digits.render((0, 1), q), ""]  # symbols 0, 1, 2, 0
+        assert decode(root, streams) == [0, 1, 2, 0]
+        streams[channel] = bad
+        message = f"a digit string must be a str, got {bad!r}"
+        kept = _Reader(root, 3)
+        for count in (None, 3):
+            assert outcome(decode, root, tuple(streams), count) == (TypeError, message)
+            assert outcome(lambda _, s, c: kept.read(s, c), root, tuple(streams), count) == (TypeError, message)
+
+
 class TestDecodeOracle:
     def test_matches_walking_decoder_on_damaged_streams(self):
         rng = make_rng("decode-oracle")

@@ -261,6 +261,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultiChannelHuffmanCoder(method="prune", metric="vibes").fit("aabb")
 
+    @pytest.mark.parametrize("q", [3, 40])
+    @pytest.mark.parametrize("bad", [None, 0, [], b"0"], ids=repr)
+    def test_non_string_stream_raises_type_error(self, q, bad):
+        text = zipf_text("non-string-stream", 60, 3000)
+        coder = MultiChannelHuffmanCoder((q, 2), method="suboptimal").fit(text)
+        streams = coder.transform(text[:50])
+        for channel in range(2):
+            broken = list(streams)
+            broken[channel] = bad
+            with pytest.raises(TypeError) as info:
+                coder.inverse_transform(broken)
+            assert str(info.value) == f"a digit string must be a str, got {bad!r}"
+        assert coder.inverse_transform(streams) == text[:50]
+
 
 class TestSklearnProtocol:
     def test_get_set_params_clone_style(self):

@@ -144,6 +144,36 @@ def test_decimal_lists_checked_as_the_single_pattern(text, q):
     )
 
 
+# alphabet sizes on both sides of the switch from base-36 letters to decimal lists
+DIGIT_FORM_SIZES = [2, 3, 36, 37, 40]
+
+
+@st.composite
+def digit_columns(draw) -> tuple[int, list[tuple[int, ...]]]:
+    """An alphabet size and a column of digit tuples, some of them empty."""
+    q = draw(st.sampled_from(DIGIT_FORM_SIZES))
+    return q, draw(st.lists(st.lists(st.integers(0, q - 1), max_size=4).map(tuple), max_size=6))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(digit_columns())
+def test_digit_forms_agree_with_render_parse_and_length(column):
+    """join, lengths, labels and to_letters say what render, parse and length say."""
+    q, values = column
+    texts = [digits.render(v, q) for v in values]
+    assert digits.join(texts, q) == digits.render([d for v in values for d in v], q)
+    assert list(digits.lengths(texts, q)) == [digits.length(t, q) for t in texts]
+    letters, letter_value, tokens = digits.alphabet(q)
+    assert len(letters) == len(letter_value) == q
+    if q > 36:
+        assert tokens == {digits.render((d,), q): letters[d] for d in range(q)}
+    first, later = digits.labels(q)
+    for text, v in zip(texts, values):
+        assert tuple(letter_value[c] for c in digits.to_letters(text, q)) == digits.parse(text, q) == v
+        for d in (0, q - 1):
+            assert text + (later if text else first)[d] == digits.render(v + (d,), q)
+
+
 # components a codebook check must reject: decimal lists that render never writes, characters
 # outside every alphabet and non-strings
 REJECTED_COMPONENTS = (",1", "1,", "01", "1,,2", " 1", "+1", "1_0", "\uff13", "A", "0,", 0, 10)
@@ -153,6 +183,35 @@ def faulty_components(q: int):
     """Components a q-ary channel may reject, among them digits q and up after a valid one."""
     past = st.integers(q, q + 2).map(lambda v: f"0,{v}" if q > 36 else digits.render((0, min(v, 35)), 36))
     return st.one_of(st.sampled_from(REJECTED_COMPONENTS), digit_texts, past)
+
+
+def result_or_error(f, *args):
+    """``(None, f(*args))``, or the type and message of the exception it raises."""
+    try:
+        return None, f(*args)
+    except Exception as exc:  # noqa: BLE001 - every exception must match parse's
+        return type(exc), str(exc)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@example(None, 3)
+@example(0, 40)
+@example([], 40)
+@example(b"0", 3)
+@example("", 40)
+@example("1,,2", 40)
+@example("40", 40)
+@example("2", 2)
+@given(st.one_of(digit_texts, st.sampled_from(REJECTED_COMPONENTS), st.sampled_from([None, [], b"0"])),
+       st.sampled_from(DIGIT_FORM_SIZES))
+def test_to_letters_fails_as_parse_fails(text, q):
+    """On what parse accepts, to_letters gives a letter per digit; on anything else, parse's exception."""
+    kind, expected = result_or_error(digits.parse, text, q)
+    got = result_or_error(digits.to_letters, text, q)
+    if kind is None:
+        assert got[0] is None and tuple(map(digits.alphabet(q).values.__getitem__, got[1])) == expected
+    else:
+        assert got == (kind, expected)
 
 
 @st.composite
