@@ -292,7 +292,7 @@ def construct(
         raise ValueError(
             f"method must be one of ('optimal', 'suboptimal', 'prune', 'single'), got {method!r}"
         )
-    if not 0 <= channel < profile.n:
+    if type(channel) is not int or not 0 <= channel < profile.n:
         raise ValueError(f"channel must index into channels, got {channel!r}")
     canon = profile.canonical_index[channel]
     seq = huffman_merge_sequence(dist.m, profile.sizes[canon])

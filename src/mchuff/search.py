@@ -232,13 +232,16 @@ def replay_sequence(
 ) -> tuple[Node, tuple[MergeStep, ...]]:
     """Rebuild the decoding tree a merge sequence describes.
 
-    ``classes`` optionally forces the channel per step (used to realize a
-    single-channel code on a channel other than the smallest fitting one).
+    ``classes`` optionally forces each step's channel, an int in 0..n-1 (to
+    realize a single-channel code on another than the smallest fitting one).
     Merged children keep their draw order, dummies fill the trailing slots.
     Masses and merged entries wait in two queues (see the module
     docstring), so weight ties break by symbol, then production order.
     """
     weights, m = dist.weights, dist.m
+    for t, ci in enumerate(classes or ()):
+        if type(ci) is not int or not 0 <= ci < profile.n:
+            raise ValueError(f"step {t}: channel {ci!r} is not one of 0..{profile.n - 1}")
     # originals are read from weights[i], merged entries from sums[h] and nodes[h]; each queue
     # ends in a sentinel heavier than any entry, so a round compares heads without bounds checks
     top = dist.scale + 1

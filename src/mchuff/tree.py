@@ -90,61 +90,56 @@ class Codebook:
         return tuple(zip(*counts)) if counts else ((),) * self.m
 
 
-def _spell(place) -> str:
-    """The path of a node whose place is ``None`` (the root) or ``(parent's place, slot)``."""
-    slots = []
-    while place is not None:
-        place, slot = place
-        slots.append(f".children[{slot}]")
-    return "root" + "".join(reversed(slots))
+@dataclass(frozen=True)
+class _Opened:
+    """Below a node's children on ``validate_tree``'s stack: its path, message count and real leaves so far."""
+
+    path: str
+    at: int
+    reals: int
 
 
 def validate_tree(root: Node, profile, m: int) -> list[str]:
     """Check structural invariants; returns violations with node paths (empty list = valid).
 
-    The walk carries each node's place as a link to its parent's and its
-    slot, and spells a path only for a node it reports.
+    One walk without recursion carries each node's path down; messages come in
+    pre-order. A node without a real leaf below it is reported when its ``_Opened``
+    record, pushed below its children, comes off the stack, ahead of their messages.
     """
     sizes = as_sizes(profile)
     violations: list[str] = []
-    seen: dict[int, tuple | None] = {}
-
-    def walk(node: Node, place) -> bool:
-        """Record the subtree's violations (a node's first); return whether it holds a real leaf."""
+    seen: dict[int, str] = {}
+    reals = 0  # real leaves walked so far, and those under nodes of an unknown class
+    stack: list = [(root, "root")]
+    while stack:
+        item = stack.pop()
+        if type(item) is _Opened:
+            if reals == item.reals:
+                violations.insert(item.at, f"{item.path}: internal node has no non-dummy descendant")
+            continue
+        node, path = item
         if isinstance(node, Leaf):
+            reals += 1
             if not 0 <= node.symbol < m:
-                violations.append(f"{_spell(place)}: symbol {node.symbol} out of range 0..{m - 1}")
+                violations.append(f"{path}: symbol {node.symbol} out of range 0..{m - 1}")
             elif node.symbol in seen:
-                first = _spell(seen[node.symbol])
-                violations.append(f"{_spell(place)}: symbol {node.symbol} already placed at {first}")
+                violations.append(f"{path}: symbol {node.symbol} already placed at {seen[node.symbol]}")
             else:
-                seen[node.symbol] = place
-            return True
-        if isinstance(node, DummyLeaf):
-            return False
-        if isinstance(node, Internal):
+                seen[node.symbol] = path
+        elif isinstance(node, Internal):
             if not 0 <= node.class_index < len(sizes):
-                violations.append(
-                    f"{_spell(place)}: class {node.class_index} out of range for {len(sizes)} channels"
-                )
-                return count_leaves(node) > 0
+                violations.append(f"{path}: class {node.class_index} out of range for {len(sizes)} channels")
+                reals += count_leaves(node)
+                continue
             q = sizes[node.class_index]
             if len(node.children) != q:
                 violations.append(
-                    f"{_spell(place)}: class {node.class_index} needs exactly {q} child slots, "
-                    f"has {len(node.children)}"
+                    f"{path}: class {node.class_index} needs exactly {q} child slots, has {len(node.children)}"
                 )
-            at = len(violations)
-            has_real = False
-            for slot, child in enumerate(node.children):
-                has_real = walk(child, (place, slot)) or has_real
-            if not has_real:
-                violations.insert(at, f"{_spell(place)}: internal node has no non-dummy descendant")
-            return has_real
-        violations.append(f"{_spell(place)}: unknown node type {type(node).__name__}")
-        return False
-
-    walk(root, None)
+            stack.append(_Opened(path, len(violations), reals))
+            stack += reversed([(child, f"{path}.children[{k}]") for k, child in enumerate(node.children)])
+        elif not isinstance(node, DummyLeaf):
+            violations.append(f"{path}: unknown node type {type(node).__name__}")
     # with no violations every placed symbol is in range and placed once
     if not violations and len(seen) < m:
         missing = sorted(set(range(m)) - set(seen))

@@ -50,10 +50,11 @@ from mchuff import (
 )
 from mchuff import digits
 from mchuff.cli import main as cli_main
-from mchuff.core import SUM_TOLERANCE, ordered_sum
+from mchuff.core import SUM_TOLERANCE, as_sizes, ordered_sum
 from mchuff.heuristics import MAX_PREFIXES, prefix_count
 from mchuff.huffman import huffman_merge_sequence, huffman_merged_total
 from mchuff.search import MergeStep, merge_options, merge_prefixes, merge_smallest, step_class
+from mchuff.tree import Node, count_leaves
 
 SEED = os.environ.get("MCHUFF_SEED", "0")
 
@@ -442,6 +443,72 @@ def recursive_tree_from_obj(obj):
             raise ValueError("children must be a non-empty list")
         return Internal(ci, tuple(recursive_tree_from_obj(c) for c in children))
     raise ValueError(f"unrecognized tree node object with keys {sorted(obj)}")
+
+
+def _spell(place) -> str:
+    """The path of a node whose place is ``None`` (the root) or ``(parent's place, slot)``."""
+    slots = []
+    while place is not None:
+        place, slot = place
+        slots.append(f".children[{slot}]")
+    return "root" + "".join(reversed(slots))
+
+
+def recursive_validate_tree(root: Node, profile, m: int) -> list[str]:
+    """``tree.validate_tree`` as it was before it walked without recursion: one call per node.
+
+    It is the oracle for the violation list, message for message and in
+    order. Check structural invariants; returns violations with node paths
+    (empty list = valid).
+
+    The walk carries each node's place as a link to its parent's and its
+    slot, and spells a path only for a node it reports.
+    """
+    sizes = as_sizes(profile)
+    violations: list[str] = []
+    seen: dict[int, tuple | None] = {}
+
+    def walk(node: Node, place) -> bool:
+        """Record the subtree's violations (a node's first); return whether it holds a real leaf."""
+        if isinstance(node, Leaf):
+            if not 0 <= node.symbol < m:
+                violations.append(f"{_spell(place)}: symbol {node.symbol} out of range 0..{m - 1}")
+            elif node.symbol in seen:
+                first = _spell(seen[node.symbol])
+                violations.append(f"{_spell(place)}: symbol {node.symbol} already placed at {first}")
+            else:
+                seen[node.symbol] = place
+            return True
+        if isinstance(node, DummyLeaf):
+            return False
+        if isinstance(node, Internal):
+            if not 0 <= node.class_index < len(sizes):
+                violations.append(
+                    f"{_spell(place)}: class {node.class_index} out of range for {len(sizes)} channels"
+                )
+                return count_leaves(node) > 0
+            q = sizes[node.class_index]
+            if len(node.children) != q:
+                violations.append(
+                    f"{_spell(place)}: class {node.class_index} needs exactly {q} child slots, "
+                    f"has {len(node.children)}"
+                )
+            at = len(violations)
+            has_real = False
+            for slot, child in enumerate(node.children):
+                has_real = walk(child, (place, slot)) or has_real
+            if not has_real:
+                violations.insert(at, f"{_spell(place)}: internal node has no non-dummy descendant")
+            return has_real
+        violations.append(f"{_spell(place)}: unknown node type {type(node).__name__}")
+        return False
+
+    walk(root, None)
+    # with no violations every placed symbol is in range and placed once
+    if not violations and len(seen) < m:
+        missing = sorted(set(range(m)) - set(seen))
+        violations.append(f"symbols missing from tree: {missing}")
+    return violations
 
 
 #: Channel lists the decoders are checked on damaged streams over: three channels, and q > 36.

@@ -261,6 +261,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultiChannelHuffmanCoder(method="prune", metric="vibes").fit("aabb")
 
+    @pytest.mark.parametrize("channel", [True, 1.0])
+    def test_single_channel_must_be_a_plain_int(self, channel):
+        # passed through to construct, which used to build on channel 1 for True and raise TypeError for 1.0
+        coder = MultiChannelHuffmanCoder((2, 3), method="single", channel=channel)
+        with pytest.raises(ValueError, match=rf"^channel must index into channels, got {channel!r}$"):
+            coder.fit("aabbc")
+
     @pytest.mark.parametrize("q", [3, 40])
     @pytest.mark.parametrize("bad", [None, 0, [], b"0"], ids=repr)
     def test_non_string_stream_raises_type_error(self, q, bad):

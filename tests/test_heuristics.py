@@ -400,3 +400,9 @@ class TestConstruct:
             construct(BENCHMARK, PROFILE, "prune", metric="vibes")
         with pytest.raises(ValueError, match="channel"):
             construct(BENCHMARK, PROFILE, "single", channel=2)
+
+    @pytest.mark.parametrize("channel", [True, 1.0])
+    def test_single_channel_must_be_a_plain_int(self, channel):
+        # True used to build on channel 1, and 1.0 raised TypeError
+        with pytest.raises(ValueError, match=rf"^channel must index into channels, got {channel!r}$"):
+            construct(BENCHMARK, PROFILE, "single", channel=channel)

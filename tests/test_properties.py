@@ -28,6 +28,9 @@ from mchuff import (
     Codebook,
     CodecError,
     Distribution,
+    DummyLeaf,
+    Internal,
+    Leaf,
     MultiChannelHuffmanCoder,
     build_single_huffman,
     codebook_from_tree,
@@ -76,6 +79,7 @@ from helpers import (
     random_shape_tree,
     random_tree,
     recursive_tree_from_obj,
+    recursive_validate_tree,
     reference_codewords,
     walking_decode,
     walking_encode,
@@ -915,6 +919,75 @@ def test_tree_loader_is_the_recursive_parse_then_validation(sizes, seed):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli_main(["decode", str(tree_file), str(streams_file)])
         assert (code, err.getvalue()) == ((0, "") if line is None else (2, f"error: {tree_file}: {line}\n")), how
+
+
+def replaced(node, slots, new):
+    """``node`` with the node that ``slots`` lead to from it replaced by ``new``."""
+    if not slots:
+        return new
+    children = list(node.children)
+    children[slots[0]] = replaced(children[slots[0]], slots[1:], new)
+    return Internal(node.class_index, tuple(children))
+
+
+def faulted_tree(rng, root, sizes, m):
+    """``root`` with one node replaced, so that it is no longer a valid tree for symbols 0..m-1."""
+    places = []  # (node, slots from the root to it)
+    stack = [(root, ())]
+    while stack:
+        node, slots = stack.pop()
+        places.append((node, slots))
+        if isinstance(node, Internal):
+            stack.extend((child, (*slots, k)) for k, child in enumerate(node.children))
+    leaves = [place for place in places if isinstance(place[0], Leaf)]
+    internal = [place for place in places if isinstance(place[0], Internal)]
+    how = rng.choice(["hollow", "not-a-node", *["symbol", "missing-symbol"] * bool(leaves),
+                      *["bad-class", "child-count"] * bool(internal)])
+    targets = {"symbol": leaves, "missing-symbol": leaves, "bad-class": internal, "child-count": internal}
+    node, slots = rng.choice(targets.get(how, places))
+    if how == "symbol":  # out of range, or another leaf's
+        new = Leaf(rng.choice([-1, m, m + 3, *(leaf.symbol for leaf, at in leaves if at != slots)]))
+    elif how == "missing-symbol":
+        new = DummyLeaf()
+    elif how == "bad-class":  # above a subtree, which the walk does not enter
+        new = Internal(rng.choice([-1, len(sizes), 99]), node.children)
+    elif how == "child-count":
+        children = list(node.children)
+        if children and rng.random() < 0.5:
+            del children[rng.randrange(len(children))]
+        else:
+            children.insert(rng.randint(0, len(children)), DummyLeaf())
+        new = Internal(node.class_index, tuple(children))
+    elif how == "hollow":  # padding and one node of padding alone, whose child count may be wrong
+        outer, inner = rng.randrange(len(sizes)), rng.randrange(len(sizes))
+        hollow = Internal(inner, (DummyLeaf(),) * rng.randint(1, sizes[inner] + 1))
+        children = [DummyLeaf()] * (sizes[outer] - 1)
+        children.insert(rng.randint(0, len(children)), hollow)
+        new = Internal(outer, tuple(children))
+    else:
+        new = rng.choice(["leaf", None, 7, (), [Leaf(0)]])
+    return replaced(root, slots, new)
+
+
+@pytest.mark.parametrize("sizes", DECODE_CHANNELS)
+@settings(PROPERTY_SETTINGS, max_examples=5)
+@given(st.integers(0, 2**32))
+def test_validation_lists_the_recursive_walks_violations(sizes, seed):
+    """Random trees of any shape with one to three faults each: ``validate_tree`` lists the recursive oracle's violations.
+
+    Message for message and in order, so a node's own messages come before
+    its subtree's, and a node without a real leaf is reported ahead of its
+    children's faults.
+    """
+    rng = make_rng(f"tree-faults:{seed}")
+    for _ in range(10):
+        m = rng.randint(2, 30)
+        root = random_shape_tree(rng, sizes, m)
+        for _ in range(rng.randint(1, 3)):
+            root = faulted_tree(rng, root, sizes, m)
+        expected = recursive_validate_tree(root, sizes, m)
+        assert expected
+        assert validate_tree(root, sizes, m) == expected
 
 
 # JSON values a malformed file holds where a well-formed one has something else

@@ -277,6 +277,19 @@ class TestReplaySequence:
         with pytest.raises(ValueError, match="first round"):
             replay_sequence(dist, PROFILE_23, (2, 2), classes=(1, 1))
 
+    @pytest.mark.parametrize("classes, bad", [((-1, 1), "-1"), ((True, 1), "True"), ((2, 0), "2")])
+    def test_forced_class_outside_profile_is_refused(self, classes, bad):
+        # -1 used to merge on the last channel, True on channel 1, and 2 raised IndexError
+        dist = Distribution.from_masses(["1/8", "1/8", "1/4", "1/2"])
+        with pytest.raises(ValueError, match=rf"^step 0: channel {bad} is not one of 0\.\.1$"):
+            replay_sequence(dist, PROFILE_23, (2, 3), classes=classes)
+
+    def test_forced_class_is_checked_before_any_merge(self):
+        # step 0 asks for too many masses, but the bad class of step 1 is reported first
+        dist = Distribution.from_masses(["1/4", "1/4", "1/2"])
+        with pytest.raises(ValueError, match=r"^step 1: channel 1\.0 is not"):
+            replay_sequence(dist, PROFILE_23, (4, 2), classes=(1, 1.0))
+
 
 def _internals(root):
     if not isinstance(root, Internal):

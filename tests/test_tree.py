@@ -45,6 +45,7 @@ from helpers import (
     random_distribution,
     random_shape_tree,
     random_tree,
+    recursive_validate_tree,
     reference_codewords,
     tree_results_tsv,
 )
@@ -192,6 +193,33 @@ class TestValidateTree:
         # root (class 1) -> children[0] (class 0) -> children[0] (class 1) -> leaves
         root = Internal(1, (Internal(0, (Internal(1, deep), middle)), shallow, DummyLeaf()))
         assert validate_tree(root, PROFILE_23, m) == expected
+
+    @pytest.mark.parametrize("channels", [(2,), (2, 3)])
+    def test_geometric_1200_codes_validate_at_any_depth(self, channels):
+        # trees are compared by what the calls return: dataclass == recurses through the whole tree
+        dist = Distribution.from_masses(GEOMETRIC_1200)
+        profile = ChannelProfile.from_sizes(channels)
+        root = construct(dist, profile, "optimal").tree
+        assert validate_tree(root, profile, dist.m) == []
+        book = codebook_from_tree(root, profile)
+        assert book.words == tuple(leaf_codewords(root, profile.sizes, dist.m)[0])
+        if channels == (2,):
+            assert sorted(len(word[0]) for word in book.words) == [*range(1, 1200), 1199]
+
+    def test_chain_1500_deep_reports_the_full_path(self):
+        # level k reads channel 0 with symbol k in slot 0; the bottom repeats symbol 1498
+        root = Internal(0, (Leaf(1499), Leaf(1498)))
+        for k in reversed(range(1499)):
+            root = Internal(0, (Leaf(k), root))
+        first = "root" + ".children[1]" * 1498 + ".children[0]"
+        bottom = "root" + ".children[1]" * 1500
+        expected = [f"{bottom}: symbol 1498 already placed at {first}"]
+        assert validate_tree(root, (2,), 1500) == expected
+        with pytest.raises(ValueError) as raised:
+            codebook_from_tree(root, (2,))
+        assert str(raised.value) == f"invalid decoding tree: {expected[0]}"
+        with pytest.raises(RecursionError):
+            recursive_validate_tree(root, (2,), 1500)
 
 
 class TestCodebookFromTree:
